@@ -1,6 +1,9 @@
 """Verified weighted Bessel norms: certified enclosures, degree hierarchies,
 exponent-threshold sweeps, and second-order local-maximality checks."""
 
+# defined before the submodules load: the result store stamps its files with it
+__version__ = "0.1.0"
+
 from .norms import (
     INFINITY,
     BestKResult,
@@ -21,5 +24,3 @@ from .norms import (
 )
 from .quadrature import Enclosure, QuadConfig
 from .specfun import BesselOrder, EvalAccuracy, bessel_j, landau_constant, log_gamma, sup_critical_point
-
-__version__ = "0.1.0"

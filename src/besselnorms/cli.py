@@ -1,5 +1,6 @@
 """Command-line front end: norm computations, hierarchy verifications,
-exponent sweeps, reproduction tables, and a JSON result cache.
+exponent sweeps and reproduction tables, all reading and writing one
+result store kept in a JSON file.
 
 Exit codes: 0 all checks passed, 1 any FAIL or INCONCLUSIVE outcome,
 2 usage or domain error.
@@ -15,32 +16,27 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
-from . import golden
+from . import __version__, golden, store
 from .hierarchy import VerificationRecord, verify_p4, verify_pst, verify_sup_monotone
 from .local import DeficitCoefficients, verify_holder_chain, verify_second_order_positivity
 from .norms import (
     INFINITY,
-    Method,
     NormKey,
     NormValue,
     Status,
-    default_radius,
     lambda_finite,
     lambda_sup,
     stein_tomas_exponent,
 )
 from .quadrature import Enclosure, QuadConfig, integrate_weighted_power
 from .specfun import SpecfunDomainError
-from .sweep import PUBLISHED_THRESHOLDS, p0_report
+from .store import ResultCache
+from .sweep import p0_report
 
 __all__ = ["main"]
-
-VERSION = "0.1.0"
 
 CACHE_ENV_VAR = "BESSELNORMS_CACHE"
 DEFAULT_CACHE_PATH = "~/.cache/besselnorms/results.json"
@@ -72,7 +68,6 @@ class RunConfig:
     output_format: str = "text"
     cache_path: str | None = None
     grid_step: float = 0.01
-    jobs: int = 1
 
     @property
     def quad(self) -> QuadConfig:
@@ -84,87 +79,12 @@ class RunConfig:
             "radius": self.radius,
             "output_format": self.output_format,
             "grid_step": self.grid_step,
-            "jobs": self.jobs,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(
-            precision=data["precision"],
-            radius=data["radius"],
-            output_format=data["output_format"],
-            grid_step=data["grid_step"],
-            jobs=data["jobs"],
-        )
 
     def digest(self) -> str:
         # output format does not affect computed values
         payload = {"precision": self.precision, "radius": self.radius, "grid_step": self.grid_step}
         return _digest(payload)
-
-
-class ResultCache:
-    """Single JSON file of previously computed enclosures.
-
-    Keys hash the norm identity, radius, and precision profile.  A corrupt or
-    stale (different config digest) file is discarded and rebuilt.
-    """
-
-    def __init__(self, path: str | None, config_digest: str):
-        raw = path or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH
-        self.path = Path(raw).expanduser()
-        self.config_digest = config_digest
-        self.data: dict = {}
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            payload = json.loads(self.path.read_text())
-            if payload.get("config_digest") == self.config_digest:
-                self.data = payload.get("entries", {})
-        except (OSError, ValueError):
-            self.data = {}
-
-    def save(self) -> None:
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(
-                json.dumps({"config_digest": self.config_digest, "entries": self.data}, sort_keys=True)
-            )
-        except OSError:
-            pass
-
-    def key(self, kind: str, d: int, p, k: int, R) -> str:
-        return _digest({"kind": kind, "d": d, "p": "inf" if p == INFINITY else p, "k": k, "R": R})
-
-    def get_enclosure(self, key: str) -> Enclosure | None:
-        entry = self.data.get(key)
-        if entry is None:
-            return None
-        try:
-            return Enclosure(
-                float(entry["lower"]),
-                float(entry["upper"]),
-                float(entry["truncation_bound"]),
-                float(entry["quad_error_bound"]),
-            )
-        except (KeyError, ValueError, TypeError):
-            return None
-
-    def put_enclosure(self, key: str, enc: Enclosure) -> None:
-        self.data[key] = {
-            "lower": fmt(enc.lower),
-            "upper": fmt(enc.upper),
-            "truncation_bound": fmt(enc.truncation_bound),
-            "quad_error_bound": fmt(enc.quad_error_bound),
-        }
-
-    def clear(self) -> None:
-        self.data = {}
-        try:
-            self.path.unlink(missing_ok=True)
-        except OSError:
-            pass
 
 
 def _enclosure_dict(enc: Enclosure) -> dict:
@@ -214,7 +134,7 @@ def _record_entry(record: VerificationRecord) -> dict:
 def _report(config: RunConfig, entries: list[dict]) -> dict:
     status = "PASS" if all(e["status"] == "PASS" for e in entries) else "FAIL"
     return {
-        "version": VERSION,
+        "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": config.to_dict(),
         "config_digest": config.digest(),
@@ -260,20 +180,10 @@ def _parse_p(raw: str) -> float:
 
 def cmd_norm(args, config: RunConfig) -> int:
     p = _parse_p(args.p)
-    cache = ResultCache(config.cache_path, config.digest())
     if math.isinf(p):
         nv = lambda_sup(args.d, args.k)
     else:
-        key = NormKey(args.d, p, args.k)
-        R = args.R if args.R is not None else default_radius(args.d, args.k)
-        cache_key = cache.key("lambda", args.d, p, args.k, R)
-        cached = cache.get_enclosure(cache_key)
-        if cached is not None:
-            nv = NormValue(key=key, enclosure=cached, R_used=R, method=Method.QUADRATURE_TAIL)
-        else:
-            nv = lambda_finite(key, R, config.quad)
-            cache.put_enclosure(cache_key, nv.enclosure)
-            cache.save()
+        nv = lambda_finite(NormKey(args.d, p, args.k), args.R, config.quad)
     entry = {
         "id": "norm",
         "params": {"d": args.d, "p": "inf" if math.isinf(p) else p, "k": args.k, "R": nv.R_used},
@@ -324,7 +234,7 @@ def cmd_verify(args, config: RunConfig) -> int:
 def cmd_sweep(args, config: RunConfig) -> int:
     threshold, results = p0_report(args.d, step=config.grid_step, cfg=config.quad)
     entries = []
-    ok = threshold <= PUBLISHED_THRESHOLDS[args.d] + 1e-12
+    ok = threshold <= golden.THRESHOLDS[args.d] + 1e-12
     for res in results:
         entries.append(
             {
@@ -345,7 +255,7 @@ def cmd_sweep(args, config: RunConfig) -> int:
             "params": {"d": args.d},
             "status": "PASS" if ok else "FAIL",
             "certified_threshold": threshold,
-            "published_threshold": PUBLISHED_THRESHOLDS[args.d],
+            "published_threshold": golden.THRESHOLDS[args.d],
             "value_lower": fmt(threshold),
             "value_upper": fmt(threshold),
             "notes": [],
@@ -355,86 +265,60 @@ def cmd_sweep(args, config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _truncated_value(d: int, p: float, k: int, R: float, config: RunConfig, cache: ResultCache) -> Enclosure:
-    key = cache.key("truncated", d, p, k, R)
-    enc = cache.get_enclosure(key)
-    if enc is None:
-        enc = integrate_weighted_power(d, p, k, R, config.quad)
-        cache.put_enclosure(key, enc)
-    return enc
-
-
-def _table_rows(table: str, config: RunConfig, cache: ResultCache) -> list[dict]:
-    tasks = []
+def _table_rows(table: str, config: RunConfig) -> list[dict]:
+    rows = []  # (label, params, computed value, reference)
     if table == "sup-values":
         for d, ref in golden.SUP_NORM_DEGREE_ONE.items():
-            tasks.append((f"sup d={d} k=1", lambda d=d: lambda_sup(d, 1).enclosure.midpoint, ref, {"d": d, "k": 1}))
-    elif table == "p4-truncations":
-        for d, ref in golden.P4_TRUNCATED_40_K1.items():
-            tasks.append(
-                (f"p4 [0,40] d={d} k=1", lambda d=d: _truncated_value(d, 4.0, 1, 40.0, config, cache).midpoint, ref, {"d": d, "k": 1, "R": 40})
-            )
-        for (d, k), ref in golden.P4_TRUNCATED_200.items():
-            tasks.append(
-                (f"p4 [0,200] d={d} k={k}", lambda d=d, k=k: _truncated_value(d, 4.0, k, 200.0, config, cache).midpoint, ref, {"d": d, "k": k, "R": 200})
-            )
-    elif table == "pst-truncations":
-        for d, ref in golden.PST_TRUNCATED_50_K1.items():
-            tasks.append(
-                (f"pst [0,50] d={d} k=1", lambda d=d: _truncated_value(d, stein_tomas_exponent(d), 1, 50.0, config, cache).midpoint, ref, {"d": d, "k": 1, "R": 50})
-            )
-        for (d, k), ref in golden.PST_TRUNCATED_200.items():
-            tasks.append(
-                (f"pst [0,200] d={d} k={k}", lambda d=d, k=k: _truncated_value(d, stein_tomas_exponent(d), k, 200.0, config, cache).midpoint, ref, {"d": d, "k": k, "R": 200})
-            )
-        for d, ref in golden.PST_TRUNCATED_50_K0.items():
-            tasks.append(
-                (f"pst [0,50] d={d} k=0", lambda d=d: _truncated_value(d, stein_tomas_exponent(d), 0, 50.0, config, cache).midpoint, ref, {"d": d, "k": 0, "R": 50})
-            )
+            rows.append((f"sup d={d} k=1", {"d": d, "k": 1}, lambda_sup(d, 1).enclosure.midpoint, ref))
+    elif table in ("p4-truncations", "pst-truncations"):
+        if table == "p4-truncations":
+            name, exponent = "p4", lambda d: 4.0
+            parts = [(40, {(d, 1): ref for d, ref in golden.P4_TRUNCATED_40_K1.items()}), (200, golden.P4_TRUNCATED_200)]
+        else:
+            name, exponent = "pst", stein_tomas_exponent
+            parts = [
+                (50, {(d, 1): ref for d, ref in golden.PST_TRUNCATED_50_K1.items()}),
+                (200, golden.PST_TRUNCATED_200),
+                (50, {(d, 0): ref for d, ref in golden.PST_TRUNCATED_50_K0.items()}),
+            ]
+        for R, refs in parts:
+            for (d, k), ref in refs.items():
+                # the stored truncated integral on [0, R], without its tail
+                truncated = store.current().enclosure("power", integrate_weighted_power, d, exponent(d), k, float(R), config.quad)
+                rows.append((f"{name} [0,{R}] d={d} k={k}", {"d": d, "k": k, "R": R}, truncated.midpoint, ref))
     elif table == "thresholds":
         for d, ref in golden.THRESHOLDS.items():
-            tasks.append(
-                (f"threshold d={d}", lambda d=d: p0_report(d, step=config.grid_step, cfg=config.quad)[0], ref, {"d": d})
-            )
+            value = p0_report(d, step=config.grid_step, cfg=config.quad)[0]
+            rows.append((f"threshold d={d}", {"d": d}, value, ref))
     else:
         raise SpecfunDomainError(f"unknown table {table!r}")
 
-    def run(task):
-        label, compute, ref, params = task
-        value = compute()
-        if table == "thresholds":
-            matched = value <= ref + 1e-12
-        else:
-            matched = golden.matches_6sf(value, ref)
-        return {
-            "id": f"reproduce:{label}",
-            "params": params,
-            "status": "PASS" if matched else "FAIL",
-            "value_lower": fmt(value),
-            "value_upper": fmt(value),
-            "reference": fmt(ref),
-            "notes": [],
-        }
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(run, tasks))
-    return [run(t) for t in tasks]
+    entries = []
+    for label, params, value, ref in rows:
+        matched = value <= ref + 1e-12 if table == "thresholds" else golden.matches_6sf(value, ref)
+        entries.append(
+            {
+                "id": f"reproduce:{label}",
+                "params": params,
+                "status": "PASS" if matched else "FAIL",
+                "value_lower": fmt(value),
+                "value_upper": fmt(value),
+                "reference": fmt(ref),
+                "notes": [],
+            }
+        )
+    return entries
 
 
 def cmd_reproduce(args, config: RunConfig) -> int:
-    cache = ResultCache(config.cache_path, config.digest())
-    entries = _table_rows(args.table, config, cache)
-    cache.save()
-    report = _report(config, entries)
+    report = _report(config, _table_rows(args.table, config))
     _emit(report, config)
     return 0 if report["status"] == "PASS" else 1
 
 
 def cmd_cache(args, config: RunConfig) -> int:
-    cache = ResultCache(config.cache_path, config.digest())
     if args.action == "clear":
-        cache.clear()
+        store.current().clear()
         print("cache cleared")
         return 0
     raise SpecfunDomainError(f"unknown cache action {args.action!r}")
@@ -446,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=("json", "csv", "text"), default="text")
     shared.add_argument("--precision", choices=tuple(PRECISION_PROFILES), default="standard")
     shared.add_argument("--cache", default=None, help=f"cache file path (default ${CACHE_ENV_VAR} or {DEFAULT_CACHE_PATH})")
-    shared.add_argument("--jobs", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[shared], **kw))
 
     p_norm = sub.add_parser("norm", help="compute one weighted norm")
@@ -485,7 +368,6 @@ def main(argv: list[str] | None = None) -> int:
         output_format=args.format,
         cache_path=args.cache,
         grid_step=getattr(args, "step", 0.01),
-        jobs=args.jobs,
     )
     handlers = {
         "norm": cmd_norm,
@@ -494,11 +376,15 @@ def main(argv: list[str] | None = None) -> int:
         "reproduce": cmd_reproduce,
         "cache": cmd_cache,
     }
+    cache = ResultCache(config.cache_path or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH)
     try:
-        return handlers[args.command](args, config)
+        with store.using(cache):
+            return handlers[args.command](args, config)
     except (SpecfunDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        cache.save()
 
 
 if __name__ == "__main__":

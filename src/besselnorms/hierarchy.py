@@ -2,9 +2,10 @@
 strict decrease of the sup norms, and domination of every positive degree
 by degree one at p = 4 and at the Stein-Tomas endpoint.
 
-Each verifier mirrors the two-phase strategy: explicit enclosures for the
-small degrees, then the decreasing Gamma-function bound U to dominate all
-larger degrees at once.  Every PASS rests on strictly separated enclosures.
+The two degree hierarchies share one two-phase body: explicit enclosures
+for the small degrees, then the decreasing Gamma-function bound U to
+dominate all larger degrees at once; each keeps only its own degree-one
+versus degree-zero step.  Every PASS rests on strictly separated enclosures.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .norms import (
     stein_tomas_exponent,
     upper_bound_U,
 )
-from .quadrature import DEFAULT_QUAD_CONFIG, QuadConfig
+from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig
 
 __all__ = [
     "ClaimId",
@@ -110,37 +111,45 @@ def _require_strict(record: VerificationRecord, smaller_upper: float, larger_low
     record.notes.append(f"{what}: {smaller_upper} not strictly below {larger_lower}")
 
 
+def _degree_one_dominates(
+    record: VerificationRecord, R1: float, p_name: str, power_name: str, cfg: QuadConfig
+) -> Enclosure:
+    """The shared two-phase body: degree one against every degree k >= 2.
+
+    (a) the degree-one power from [0, R1] plus tail, whose lower end is the
+    bar; (b) the first degree the decreasing U bound settles, and a check
+    that U keeps decreasing; (c) explicit degrees below it on [0, 200] plus
+    tail.  Returns the degree-one enclosure for the degree-zero step.
+    """
+    d, p = record.params["d"], record.params["p"]
+    trunc1 = lambda_power(NormKey(d, p, 1), R=R1, cfg=cfg)
+    record.add(f"degree-1 truncated integral on [0,{R1:g}]", trunc1)
+
+    k_dom = find_domination_degree(d, p, trunc1.lower)
+    record.k_dominated_from = k_dom
+    record.k_explicit = k_dom - 1
+    record.add(f"U(d,{p_name},{k_dom})", upper_bound_U(d, p, k_dom))
+    _check_u_decreasing(d, p, k_dom, record)
+
+    for k in range(2, k_dom):
+        enc_k = lambda_power(NormKey(d, p, k), R=200.0, cfg=cfg)
+        record.add(f"degree-{k} {power_name} on [0,200] + tail", enc_k)
+        _require_strict(record, enc_k.upper, trunc1.lower, f"degree {k} vs degree 1")
+    return trunc1
+
+
 def verify_p4(d: int, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> VerificationRecord:
     """Verify that at p = 4 every degree k >= 1 is dominated by degree one,
     and degree one by degree zero, for 3 <= d <= 10."""
     if not 3 <= d <= 10:
         raise ValueError(f"need 3 <= d <= 10, got {d}")
-    p = 4.0
-    record = VerificationRecord(claim_id=ClaimId.P4_HIERARCHY, params={"d": d, "p": p}, status=Status.PASS)
-
-    # (a) lower estimate for the degree-one fourth power from [0, 40]
-    trunc1 = lambda_power(NormKey(d, p, 1), R=40.0, cfg=cfg)
-    lower1 = trunc1.lower
-    record.add("degree-1 truncated integral on [0,40]", trunc1)
-
-    # (b) first degree dominated by the U bound
-    k_dom = find_domination_degree(d, p, lower1)
-    record.k_dominated_from = k_dom
-    record.k_explicit = k_dom - 1
-    record.add(f"U(d,4,{k_dom})", upper_bound_U(d, p, k_dom))
-    _check_u_decreasing(d, p, k_dom, record)
-
-    # (c) explicit intermediate degrees on [0, 200] plus the closed tail bound
-    for k in range(2, k_dom):
-        enc_k = lambda_power(NormKey(d, p, k), R=200.0, cfg=cfg)
-        record.add(f"degree-{k} fourth power on [0,200] + tail", enc_k)
-        _require_strict(record, enc_k.upper, lower1, f"degree {k} vs degree 1")
+    record = VerificationRecord(claim_id=ClaimId.P4_HIERARCHY, params={"d": d, "p": 4.0}, status=Status.PASS)
+    trunc1 = _degree_one_dominates(record, 40.0, "4", "fourth power", cfg)
 
     # (d) degree one below degree zero (closed form)
-    upper1 = trunc1.upper
     zero4 = lambda4_zero(d) ** 4
     record.add("degree-0 fourth power (closed form)", zero4)
-    _require_strict(record, upper1, zero4, "degree 1 vs degree 0")
+    _require_strict(record, trunc1.upper, zero4, "degree 1 vs degree 0")
     return record
 
 
@@ -150,24 +159,7 @@ def verify_pst(d: int, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> VerificationRec
         raise ValueError(f"need 4 <= d <= 10, got {d}")
     p = stein_tomas_exponent(d)
     record = VerificationRecord(claim_id=ClaimId.PST_HIERARCHY, params={"d": d, "p": p}, status=Status.PASS)
-
-    # (a) lower estimate for the degree-one power from [0, 50]
-    trunc1 = lambda_power(NormKey(d, p, 1), R=50.0, cfg=cfg)
-    lower1 = trunc1.lower
-    record.add("degree-1 truncated integral on [0,50]", trunc1)
-
-    # (b) U-bound domination threshold
-    k_dom = find_domination_degree(d, p, lower1)
-    record.k_dominated_from = k_dom
-    record.k_explicit = k_dom - 1
-    record.add(f"U(d,p_st,{k_dom})", upper_bound_U(d, p, k_dom))
-    _check_u_decreasing(d, p, k_dom, record)
-
-    # (c) explicit intermediate degrees on [0, 200] plus tail (= 1/200)
-    for k in range(2, k_dom):
-        enc_k = lambda_power(NormKey(d, p, k), R=200.0, cfg=cfg)
-        record.add(f"degree-{k} power on [0,200] + tail", enc_k)
-        _require_strict(record, enc_k.upper, lower1, f"degree {k} vs degree 1")
+    trunc1 = _degree_one_dominates(record, 50.0, "p_st", "power", cfg)
 
     # (d) degree one below degree zero; both estimated from [0, 50]
     upper1 = trunc1.upper

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import store
 from .hierarchy import ClaimId, VerificationRecord
 from .norms import (
     NormKey,
@@ -53,6 +54,8 @@ class DeficitCoefficients:
     lambda0_p: Enclosure
     coeff_real_part: float
     coeff_modulus: float
+    modulus_group: float
+    combined_group: float
 
 
 def cross_norm(
@@ -60,7 +63,8 @@ def cross_norm(
 ) -> Enclosure:
     """Enclosure of the cross integral M(k): truncated part plus tail bound."""
     R = default_radius(d, k) if R is None else R
-    return integrate_cross_term(d, p, k, R, cfg).with_tail(cross_tail_bound(d, p, k, R))
+    truncated = store.current().enclosure("cross", integrate_cross_term, d, p, k, R, cfg)
+    return truncated.with_tail(cross_tail_bound(d, p, k, R))
 
 
 def deficit_coefficients(
@@ -70,18 +74,21 @@ def deficit_coefficients(
 
     The real-part group carries the sign flip (-1)^k of the degree; the
     modulus group does not.  Both are evaluated at the enclosure ends that
-    minimize them, so positivity survives the rounding.
+    minimize them, so positivity survives the rounding.  The combined group
+    is (p - 2) times the signed group plus the modulus group.
     """
     if k < 1:
         raise ValueError(f"deficit coefficients are defined for k >= 1, got {k}")
     m = cross_norm(d, p, k, R, cfg)
     lam0p = lambda_power(NormKey(d, p, 0), R, cfg)
-    signed_m_worst = m.upper if k % 2 == 0 else -m.lower
-    coeff_real = (p * (p - 2.0) / 4.0) * (lam0p.lower - signed_m_worst)
-    coeff_mod = (p / 4.0) * (lam0p.lower - m.upper)
+    signed_group = lam0p.lower - (m.upper if k % 2 == 0 else -m.lower)
+    modulus_group = lam0p.lower - m.upper
     return DeficitCoefficients(
         d=d, p=p, k=k, cross_norm=m, lambda0_p=lam0p,
-        coeff_real_part=coeff_real, coeff_modulus=coeff_mod,
+        coeff_real_part=(p * (p - 2.0) / 4.0) * signed_group,
+        coeff_modulus=(p / 4.0) * modulus_group,
+        modulus_group=modulus_group,
+        combined_group=(p - 2.0) * signed_group + modulus_group,
     )
 
 
@@ -150,15 +157,10 @@ def verify_second_order_positivity(
     for k in range(1, K + 1):
         coeffs = deficit_coefficients(d, p, k, R, cfg)
         record.add(f"coefficients at k={k}", coeffs)
-        modulus_group = coeffs.lambda0_p.lower - coeffs.cross_norm.upper
-        signed_worst = (
-            coeffs.cross_norm.upper if k % 2 == 0 else -coeffs.cross_norm.lower
-        )
-        combined = (p - 2.0) * (coeffs.lambda0_p.lower - signed_worst) + modulus_group
-        if not (modulus_group > 0.0 and combined > 0.0):
+        if not (coeffs.modulus_group > 0.0 and coeffs.combined_group > 0.0):
             record.status = Status.INCONCLUSIVE
             record.notes.append(
-                f"k={k}: modulus group {modulus_group}, combined group {combined}"
+                f"k={k}: modulus group {coeffs.modulus_group}, combined group {coeffs.combined_group}"
             )
     return record
 

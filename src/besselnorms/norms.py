@@ -6,12 +6,12 @@ on the degree-zero norm, and the argmax-over-degree search.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
+from . import store
 from .quadrature import (
     DEFAULT_QUAD_CONFIG,
     Enclosure,
@@ -121,15 +121,9 @@ class GuardScanError(RuntimeError):
     """The dense scan found a value above the critical-point candidate."""
 
 
-# memoises (key, R, cfg) -> NormValue; duplicate concurrent computation of the
-# same pure value is harmless, the lock only protects dict integrity.
-_memo: dict = {}
-_memo_lock = threading.Lock()
-
-
 def clear_memo_cache() -> None:
-    with _memo_lock:
-        _memo.clear()
+    """Drop the in-memory entries of the current result store; files are untouched."""
+    store.current().data.clear()
 
 
 def _tail_for(key: NormKey, R: float) -> float:
@@ -145,14 +139,8 @@ def lambda_power(
     if key.is_sup:
         raise SpecfunDomainError("lambda_power needs a finite exponent")
     R = default_radius(key.d, key.k) if R is None else R
-    cache_key = ("power", key, R, cfg.key())
-    with _memo_lock:
-        if cache_key in _memo:
-            return _memo[cache_key]
-    enc = integrate_weighted_power(key.d, key.p, key.k, R, cfg).with_tail(_tail_for(key, R))
-    with _memo_lock:
-        _memo[cache_key] = enc
-    return enc
+    truncated = store.current().enclosure("power", integrate_weighted_power, key.d, key.p, key.k, R, cfg)
+    return truncated.with_tail(_tail_for(key, R))
 
 
 def lambda_finite(

@@ -8,10 +8,10 @@ form, so a positive margin cannot be an artifact of optimistic rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .golden import THRESHOLDS
 from .norms import (
     NormKey,
     lambda_power,
@@ -25,15 +25,10 @@ from .quadrature import DEFAULT_QUAD_CONFIG, QuadConfig
 __all__ = [
     "Regime",
     "SweepResult",
-    "sweep_d2",
     "sweep_step1",
     "sweep_step2",
     "p0_report",
-    "PUBLISHED_THRESHOLDS",
 ]
-
-# published certified thresholds, d = 2..10
-PUBLISHED_THRESHOLDS = {2: 6.0, 3: 4.0, 4: 3.48, 5: 3.50, 6: 3.58, 7: 3.7, 8: 3.86, 9: 4.06, 10: 4.46}
 
 _MARGIN_FLOOR = 1e-8
 # beyond this exponent both sides are within 1e-6 of their limits; the sweep
@@ -88,57 +83,37 @@ def _ascending_grid(p_min: float, p_max: float, step: float) -> list[float]:
     return grid
 
 
-def sweep_d2(
-    p_min: float = 6.0,
-    p_max: float = _P_LIMIT_SWITCH,
-    step: float = 0.01,
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-) -> SweepResult:
-    """Dimension-2 sweep interpolating between the sixth-power norm (with its
-    1/3 degree-domination constant) and the sup norm."""
-    if p_min < 6.0:
-        raise ValueError(f"need p_min >= 6, got {p_min}")
-    lam6_upper = lambda_power(NormKey(2, 6.0, 0), cfg=cfg).upper  # sixth power, degree 0
-    sup1_upper = lambda_sup(2, 1).enclosure.upper
-    grid = _ascending_grid(p_min, p_max, step)
-    margins = []
-    for p in grid:
-        upper = (1.0 / 3.0) ** (1.0 / p) * lam6_upper ** (1.0 / p) * sup1_upper ** (1.0 - 6.0 / p)
-        margins.append(lower_bound_L0(2, p) - upper)
-    limit_margin = lambda_sup_zero_closed(2) - sup1_upper
-    threshold = _threshold_from_grid(grid, margins)
-    if limit_margin <= _MARGIN_FLOOR:
-        threshold = None
-    return SweepResult(
-        d=2,
-        regime=Regime.D2_SIX_INF,
-        p_grid=grid,
-        margins=margins,
-        certified_threshold=threshold,
-        published_threshold=PUBLISHED_THRESHOLDS[2],
-        limit_margin=limit_margin,
-    )
+def _anchor(d: int) -> tuple[float, int, float | None, float]:
+    """Exponent, degree, radius (None: the default) and domination constant
+    of the norm the step-1 sweep interpolates from."""
+    if d == 2:
+        # the sixth power at degree zero, with its 1/3 degree-domination constant
+        return 6.0, 0, None, 1.0 / 3.0
+    # the fourth power at degree one, upper estimate on [0, 40] plus tail
+    return 4.0, 1, 40.0, 1.0
 
 
 def sweep_step1(
     d: int,
-    p_min: float = 4.0,
+    p_min: float | None = None,
     p_max: float = _P_LIMIT_SWITCH,
     step: float = 0.01,
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
 ) -> SweepResult:
-    """Sweep on [4, p_max] interpolating between the fourth-power norm at
-    degree one (upper estimate on [0, 40] plus tail) and the sup norm."""
-    if not 3 <= d <= 10:
-        raise ValueError(f"need 3 <= d <= 10, got {d}")
-    if p_min < 4.0:
-        raise ValueError(f"need p_min >= 4, got {p_min}")
-    lam41_upper = lambda_power(NormKey(d, 4.0, 1), R=40.0, cfg=cfg).upper  # fourth power
+    """Sweep on [anchor, p_max] interpolating between the anchor norm of
+    _anchor(d) and the degree-one sup norm; p_min defaults to the anchor."""
+    if not 2 <= d <= 10:
+        raise ValueError(f"need 2 <= d <= 10, got {d}")
+    p_anchor, k_anchor, R_anchor, constant = _anchor(d)
+    p_min = p_anchor if p_min is None else p_min
+    if p_min < p_anchor:
+        raise ValueError(f"need p_min >= {p_anchor:g}, got {p_min}")
+    anchor_upper = lambda_power(NormKey(d, p_anchor, k_anchor), R=R_anchor, cfg=cfg).upper
     sup1_upper = lambda_sup(d, 1).enclosure.upper
     grid = _ascending_grid(p_min, p_max, step)
     margins = []
     for p in grid:
-        upper = lam41_upper ** (1.0 / p) * sup1_upper ** (1.0 - 4.0 / p)
+        upper = constant ** (1.0 / p) * anchor_upper ** (1.0 / p) * sup1_upper ** (1.0 - p_anchor / p)
         margins.append(lower_bound_L0(d, p) - upper)
     limit_margin = lambda_sup_zero_closed(d) - sup1_upper
     threshold = _threshold_from_grid(grid, margins)
@@ -146,11 +121,11 @@ def sweep_step1(
         threshold = None
     return SweepResult(
         d=d,
-        regime=Regime.STEP1_FOUR_INF,
+        regime=Regime.D2_SIX_INF if d == 2 else Regime.STEP1_FOUR_INF,
         p_grid=grid,
         margins=margins,
         certified_threshold=threshold,
-        published_threshold=PUBLISHED_THRESHOLDS[d],
+        published_threshold=THRESHOLDS[d],
         limit_margin=limit_margin,
     )
 
@@ -190,7 +165,7 @@ def sweep_step2(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFI
         p_grid=grid,
         margins=margins,
         certified_threshold=threshold,
-        published_threshold=PUBLISHED_THRESHOLDS[d],
+        published_threshold=THRESHOLDS[d],
     )
 
 
@@ -202,11 +177,7 @@ def p0_report(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFIG)
     """
     if not 2 <= d <= 10:
         raise ValueError(f"need 2 <= d <= 10, got {d}")
-    if d == 2:
-        res = sweep_d2(step=step, cfg=cfg)
-        results = [res]
-        threshold = res.certified_threshold
-    elif d in (3, 9, 10):
+    if d in (2, 3, 9, 10):
         res = sweep_step1(d, step=step, cfg=cfg)
         results = [res]
         threshold = res.certified_threshold

@@ -1,9 +1,13 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import besselnorms.local as local
+import besselnorms.norms as norms
+import besselnorms.quadrature as quadrature
 from besselnorms.cli import ResultCache, RunConfig, fmt, main
-from besselnorms.quadrature import Enclosure
 
 
 def run(capsys, *argv):
@@ -15,6 +19,14 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--format", "json")
     return code, json.loads(out)
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name so that each call appends its arguments to the returned list."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or original(*a, **kw))
+    return calls
 
 
 @pytest.fixture()
@@ -119,16 +131,6 @@ class TestReproduceCommand:
         assert [e["params"] for e in failing] == [{"d": 3, "k": 4, "R": 200}]
         assert float(failing[0]["value_lower"]) == pytest.approx(0.0615959, abs=5e-8)
 
-    def test_jobs_flag_gives_same_entries(self, capsys, cache_file):
-        _, serial = run_json(capsys, "reproduce", "--table", "sup-values", "--cache", cache_file)
-        _, parallel = run_json(
-            capsys, "reproduce", "--table", "sup-values", "--cache", cache_file, "--jobs", "4"
-        )
-        strip = lambda rep: [
-            {k: v for k, v in e.items() if k != "notes"} for e in rep["entries"]
-        ]
-        assert strip(serial) == strip(parallel)
-
 
 class TestOutputFormats:
     def test_csv(self, capsys, cache_file):
@@ -151,6 +153,31 @@ class TestOutputFormats:
         first.pop("timestamp"), second.pop("timestamp")
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--d", "3", "--p", "4", "--k", "1", "--R", "40"),
+            ("norm", "--d", "3", "--p", "inf", "--k", "2"),
+            ("verify", "p4", "--d", "5"),
+            ("verify", "pst", "--d", "6"),
+            ("verify", "holder-chain", "--d", "3", "--p", "4", "--k", "1"),
+            ("verify", "local-coefficients", "--d", "3", "--K", "2"),
+            ("sweep", "--d", "2"),
+            ("sweep", "--d", "5"),
+            ("reproduce", "--table", "p4-truncations"),
+        ],
+        ids=["norm", "norm-inf", "p4", "pst", "holder-chain", "local-coefficients", "sweep-d2", "sweep-d5", "p4-table"],
+    )
+    def test_warm_report_body_equals_cold(self, capsys, cache_file, monkeypatch, argv):
+        cold_code, cold = run_json(capsys, *argv, "--cache", cache_file)
+        # the warm run may read only the cache file, not what this process kept
+        norms.clear_memo_cache()
+        integrals = count_calls(monkeypatch, quadrature, "panel_integrate")
+        warm_code, warm = run_json(capsys, *argv, "--cache", cache_file)
+        cold.pop("timestamp"), warm.pop("timestamp")
+        assert (warm_code, warm) == (cold_code, cold)
+        assert integrals == []
+
 
 class TestCache:
     def test_hit_returns_identical_enclosure(self, capsys, cache_file):
@@ -169,13 +196,62 @@ class TestCache:
         assert code == 0
         assert report["status"] == "PASS"
 
-    def test_config_digest_invalidates(self, cache_file):
-        cache = ResultCache(cache_file, "digest-a")
-        key = cache.key("lambda", 3, 4.0, 1, 40.0)
-        cache.put_enclosure(key, Enclosure(1.0, 1.0))
+    def test_other_engine_version_or_precision_is_never_returned(self, capsys, cache_file, monkeypatch):
+        args = ("norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
+        _, fresh = run_json(capsys, *args)
+        (key,) = json.loads(Path(cache_file).read_text())["entries"]
+        # a wrong value under the right key, stamped by another engine version
+        stale = ResultCache(cache_file, "0.0.0")
+        stale.data[key] = [1.0, 1.0, 0.0, 0.0]
+        stale.dirty = True
+        stale.save()
+        norms.clear_memo_cache()
+        integrals = count_calls(monkeypatch, norms, "integrate_weighted_power")
+        _, again = run_json(capsys, *args)
+        assert len(integrals) == 1
+        assert again["entries"] == fresh["entries"]
+        # the standard-precision entry is not served to another profile
+        run_json(capsys, *args, "--precision", "fast")
+        assert len(integrals) == 2
+        assert len(json.loads(Path(cache_file).read_text())["entries"]) == 2
+
+    def test_corrupt_entry_is_dropped(self, capsys, cache_file):
+        args = ("norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
+        _, fresh = run_json(capsys, *args)
+        cache = ResultCache(cache_file)
+        (key,) = cache.data
+        for bad in ([2.0, 1.0, 0.0, 0.0], [float("nan"), 1.0, 1.0, 0.0], ["0.1", 0.1, 0.0, 0.0], [1.0], "1234"):
+            cache.data[key] = bad
+            assert cache.get_enclosure(key) is None
+            assert key not in cache.data
+        cache.data[key] = [2.0, 1.0, 0.0, 0.0]
+        cache.dirty = True
         cache.save()
-        assert ResultCache(cache_file, "digest-a").get_enclosure(key) is not None
-        assert ResultCache(cache_file, "digest-b").get_enclosure(key) is None
+        _, again = run_json(capsys, *args)
+        assert again["entries"] == fresh["entries"]
+
+    def test_alternating_radius_keeps_every_entry(self, capsys, cache_file, monkeypatch):
+        queries = [("norm", "--d", "3", "--p", "4", "--k", str(k), "--R", R) for k in (1, 2) for R in ("40", "200")]
+        for argv in queries:
+            run_json(capsys, *argv, "--cache", cache_file)
+        looked_up = []
+        get = ResultCache.get_enclosure
+        monkeypatch.setattr(
+            ResultCache, "get_enclosure", lambda self, key: looked_up.append(get(self, key)) or looked_up[-1]
+        )
+        for argv in queries:
+            run_json(capsys, *argv, "--cache", cache_file)
+        assert len(looked_up) == len(queries)
+        assert all(enc is not None for enc in looked_up)
+
+    def test_local_coefficients_reuse_holder_chain_cross_norms(self, capsys, cache_file, monkeypatch):
+        for k in ("1", "2"):
+            code, _ = run_json(capsys, "verify", "holder-chain", "--d", "3", "--p", "4", "--k", k, "--cache", cache_file)
+            assert code == 0
+        cross_integrals = count_calls(monkeypatch, local, "integrate_cross_term")
+        code, _ = run_json(capsys, "verify", "local-coefficients", "--d", "3", "--K", "2", "--cache", cache_file)
+        assert code == 0
+        assert cross_integrals == []
 
     def test_env_var_default_path(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "env-cache.json"
@@ -189,16 +265,10 @@ class TestCache:
         code, out = run(capsys, "cache", "clear", "--cache", cache_file)
         assert code == 0
         assert "cache cleared" in out
-        import os
-
         assert not os.path.exists(cache_file)
 
 
 class TestRunConfig:
-    def test_round_trips(self):
-        config = RunConfig(precision="high", radius=40.0, output_format="csv", grid_step=0.02, jobs=3)
-        assert RunConfig.from_dict(config.to_dict()) == config
-
     def test_digest_ignores_output_format(self):
         a = RunConfig(output_format="json")
         b = RunConfig(output_format="csv")

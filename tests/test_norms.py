@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import besselnorms.norms as norms
 from besselnorms.norms import (
     INFINITY,
     BestKResult,
@@ -115,12 +116,14 @@ class TestLambdaPower:
         # is finite and below the crude 1/R value
         assert enc.truncation_bound < 1.0 / 400.0 + 1e-11
 
-    def test_memoized(self):
+    def test_memoized(self, monkeypatch):
         clear_memo_cache()
+        calls = []
+        integrate = norms.integrate_weighted_power
+        monkeypatch.setattr(norms, "integrate_weighted_power", lambda *a: calls.append(a) or integrate(*a))
         key = NormKey(4, 4.0, 1)
-        first = lambda_power(key)
-        second = lambda_power(key)
-        assert first is second
+        assert lambda_power(key) == lambda_power(key)
+        assert len(calls) == 1
 
     def test_rejects_sup(self):
         with pytest.raises(SpecfunDomainError):

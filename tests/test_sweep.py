@@ -1,12 +1,11 @@
 import pytest
 
+from besselnorms.golden import THRESHOLDS
 from besselnorms.sweep import (
-    PUBLISHED_THRESHOLDS,
     Regime,
     SweepResult,
     _threshold_from_grid,
     p0_report,
-    sweep_d2,
     sweep_step1,
     sweep_step2,
 )
@@ -24,8 +23,9 @@ class TestThresholdFromGrid:
 
 
 class TestSweepD2:
+    # d = 2 anchors the step-1 sweep at the sixth power, degree zero
     def test_certifies_at_six(self):
-        res = sweep_d2(p_max=10.0)
+        res = sweep_step1(2, p_max=10.0)
         assert res.regime is Regime.D2_SIX_INF
         assert res.certified_threshold == 6.0
         assert res.all_positive
@@ -33,7 +33,7 @@ class TestSweepD2:
 
     def test_rejects_inadmissible_start(self):
         with pytest.raises(ValueError):
-            sweep_d2(p_min=5.0)
+            sweep_step1(2, p_min=5.0)
 
 
 class TestSweepStep1:
@@ -47,11 +47,12 @@ class TestSweepStep1:
         # threshold sits strictly above the seam
         res = sweep_step1(9, p_max=10.0)
         assert not res.all_positive
-        assert 4.0 < res.certified_threshold <= PUBLISHED_THRESHOLDS[9]
+        assert 4.0 < res.certified_threshold <= THRESHOLDS[9]
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            sweep_step1(2)
+        for d in (1, 11):
+            with pytest.raises(ValueError):
+                sweep_step1(d)
         with pytest.raises(ValueError):
             sweep_step1(3, p_min=3.5)
 
@@ -66,7 +67,7 @@ class TestSweepStep2:
     def test_d4_certifies_published_threshold(self):
         res = sweep_step2(4)
         assert res.certified_threshold is not None
-        assert res.certified_threshold <= PUBLISHED_THRESHOLDS[4] + 1e-12
+        assert res.certified_threshold <= THRESHOLDS[4] + 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -79,7 +80,7 @@ class TestP0Report:
     @pytest.mark.parametrize("d", range(2, 11))
     def test_certifies_at_or_below_published(self, d):
         threshold, results = p0_report(d)
-        assert threshold <= PUBLISHED_THRESHOLDS[d] + 1e-12
+        assert threshold <= THRESHOLDS[d] + 1e-12
         assert all(isinstance(r, SweepResult) for r in results)
 
     def test_middle_dimensions_stitch_two_regimes(self):
