@@ -34,6 +34,7 @@ __all__ = [
     "find_domination_degree",
 ]
 
+# a sup-norm gap must exceed this fraction of the larger value's upper end
 _SUP_GAP_FLOOR = 1e-9
 _DOMINATION_SCAN = 50
 
@@ -72,8 +73,9 @@ def verify_sup_monotone(d: int, K: int) -> VerificationRecord:
         record.add(f"sup norm (d={d}, k={k})", nv)
     for k in range(1, K + 1):
         gap = values[k - 1].enclosure.lower - values[k].enclosure.upper
-        if gap <= _SUP_GAP_FLOOR:
-            record.status = Status.INCONCLUSIVE if gap > -_SUP_GAP_FLOOR else Status.FAIL
+        floor = _SUP_GAP_FLOOR * values[k - 1].enclosure.upper
+        if gap <= floor:
+            record.status = Status.INCONCLUSIVE if gap > -floor else Status.FAIL
             record.notes.append(f"gap at k={k} is {gap}")
     if record.status is Status.PASS:
         record.notes.append(f"first gap {values[0].enclosure.lower - values[1].enclosure.upper}")
@@ -122,10 +124,10 @@ def _degree_one_dominates(
     tail.  Returns the degree-one enclosure for the degree-zero step.
     """
     d, p = record.params["d"], record.params["p"]
-    trunc1 = lambda_power(NormKey(d, p, 1), R=R1, cfg=cfg)
-    record.add(f"degree-1 truncated integral on [0,{R1:g}]", trunc1)
+    power1 = lambda_power(NormKey(d, p, 1), R=R1, cfg=cfg)
+    record.add(f"degree-1 {power_name} on [0,{R1:g}] + tail", power1)
 
-    k_dom = find_domination_degree(d, p, trunc1.lower)
+    k_dom = find_domination_degree(d, p, power1.lower)
     record.k_dominated_from = k_dom
     record.k_explicit = k_dom - 1
     record.add(f"U(d,{p_name},{k_dom})", upper_bound_U(d, p, k_dom))
@@ -134,8 +136,8 @@ def _degree_one_dominates(
     for k in range(2, k_dom):
         enc_k = lambda_power(NormKey(d, p, k), R=200.0, cfg=cfg)
         record.add(f"degree-{k} {power_name} on [0,200] + tail", enc_k)
-        _require_strict(record, enc_k.upper, trunc1.lower, f"degree {k} vs degree 1")
-    return trunc1
+        _require_strict(record, enc_k.upper, power1.lower, f"degree {k} vs degree 1")
+    return power1
 
 
 def verify_p4(d: int, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> VerificationRecord:
@@ -144,12 +146,12 @@ def verify_p4(d: int, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> VerificationReco
     if not 3 <= d <= 10:
         raise ValueError(f"need 3 <= d <= 10, got {d}")
     record = VerificationRecord(claim_id=ClaimId.P4_HIERARCHY, params={"d": d, "p": 4.0}, status=Status.PASS)
-    trunc1 = _degree_one_dominates(record, 40.0, "4", "fourth power", cfg)
+    power1 = _degree_one_dominates(record, 40.0, "4", "fourth power", cfg)
 
     # (d) degree one below degree zero (closed form)
     zero4 = lambda4_zero(d) ** 4
     record.add("degree-0 fourth power (closed form)", zero4)
-    _require_strict(record, trunc1.upper, zero4, "degree 1 vs degree 0")
+    _require_strict(record, power1.upper, zero4, "degree 1 vs degree 0")
     return record
 
 
@@ -159,20 +161,20 @@ def verify_pst(d: int, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> VerificationRec
         raise ValueError(f"need 4 <= d <= 10, got {d}")
     p = stein_tomas_exponent(d)
     record = VerificationRecord(claim_id=ClaimId.PST_HIERARCHY, params={"d": d, "p": p}, status=Status.PASS)
-    trunc1 = _degree_one_dominates(record, 50.0, "p_st", "power", cfg)
+    power1 = _degree_one_dominates(record, 50.0, "p_st", "power", cfg)
 
     # (d) degree one below degree zero; both estimated from [0, 50]
-    upper1 = trunc1.upper
-    trunc0 = lambda_power(NormKey(d, p, 0), R=50.0, cfg=cfg)
-    record.add("degree-0 truncated integral on [0,50]", trunc0)
+    upper1 = power1.upper
+    power0 = lambda_power(NormKey(d, p, 0), R=50.0, cfg=cfg)
+    record.add("degree-0 power on [0,50] + tail", power0)
     if d in (4, 5):
         # accepted from the prior published verification, but recomputed too
-        recomputed_ok = upper1 < trunc0.lower
+        recomputed_ok = upper1 < power0.lower
         record.notes.append(
             f"degree-1 < degree-0 accepted externally for d={d}; "
             f"recomputed comparison {'holds' if recomputed_ok else 'did not separate'}"
-            f" ({upper1} vs {trunc0.lower})"
+            f" ({upper1} vs {power0.lower})"
         )
     else:
-        _require_strict(record, upper1, trunc0.lower, "degree 1 vs degree 0")
+        _require_strict(record, upper1, power0.lower, "degree 1 vs degree 0")
     return record

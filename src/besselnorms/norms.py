@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from . import store
 from .quadrature import (
     DEFAULT_QUAD_CONFIG,
@@ -22,8 +20,10 @@ from .quadrature import (
 )
 from .specfun import (
     BesselOrder,
+    RootBracketError,
     SpecfunDomainError,
-    bessel_j_array,
+    bessel_j,
+    first_zero_estimate,
     landau_constant,
     log_gamma,
     sup_critical_point,
@@ -117,10 +117,6 @@ def default_radius(d: int, k: int) -> float:
     return max(200.0, 3.0 * (d / 2.0 - 1.0 + k))
 
 
-class GuardScanError(RuntimeError):
-    """The dense scan found a value above the critical-point candidate."""
-
-
 def clear_memo_cache() -> None:
     """Drop the in-memory entries of the current result store; files are untouched."""
     store.current().data.clear()
@@ -159,33 +155,29 @@ def lambda_sup_zero_closed(d: int) -> float:
     return math.exp((1.0 - d / 2.0) * math.log(2.0) - log_gamma(d / 2.0))
 
 
-def _sup_guard_scan(d: int, k: int, candidate: float) -> None:
-    """Dense-grid check that no radial value beats the critical-point value."""
-    nu = d / 2.0 - 1.0 + k
-    r_end = 3.0 * nu + 20.0
-    grid = np.arange(0.01, r_end + 0.005, 0.01)
-    values = np.abs(bessel_j_array(BesselOrder.from_dim_degree(d, k), grid) * grid ** (1.0 - d / 2.0))
-    scan_max = float(values.max())
-    if scan_max > candidate + 1e-9:
-        raise GuardScanError(
-            f"scan maximum {scan_max} exceeds critical-point value {candidate} for d={d}, k={k}"
-        )
-    # beyond the grid the profile is dominated by a decreasing envelope
-    decay = r_end ** (1.0 - d / 2.0) * min(r_end**-0.5, landau_constant() * r_end ** (-1.0 / 3.0))
-    if decay > candidate + 1e-9:
-        raise GuardScanError(f"decay bound {decay} at r={r_end} exceeds {candidate} for d={d}, k={k}")
-
-
 def lambda_sup(d: int, k: int) -> NormValue:
-    """The sup norm: closed form for degree zero, critical point otherwise."""
+    """The sup norm: closed form for degree zero, critical point otherwise.
+
+    For k >= 1, f(r) = r^(1-d/2) J_nu(r), nu = d/2 - 1 + k, peaks at the first
+    critical point r* (first sign change of k J_nu - r J_{nu+1}), because:
+    1. On the first lobe (0, j_{nu,1}), log f = k log r + log(r^-nu J_nu) is
+       concave (product formula; Watson, Treatise, 15.41), so r* is its only
+       critical point there.
+    2. Each later lobe peaks lower: the maxima of |J_nu| decrease (Sonine;
+       Watson, 15.31) and r^(1-d/2) does not increase for d >= 2.
+    Only the premise is checked at runtime: J_nu(r*) > 0 and r* below
+    first_zero_estimate(nu) < j_{nu,2}, so r* lies in the first lobe.
+    """
     key = NormKey(d, INFINITY, k)
     if k == 0:
         value = lambda_sup_zero_closed(d)
         return NormValue(key=key, enclosure=Enclosure.point(value), R_used=0.0, method=Method.CLOSED_FORM)
     r_star = sup_critical_point(d, k)
     order = BesselOrder.from_dim_degree(d, k)
-    value = float(abs(bessel_j_array(order, np.array([r_star]))[0]) * r_star ** (1.0 - d / 2.0))
-    _sup_guard_scan(d, k, value)
+    j_star = bessel_j(order, r_star)
+    if not (j_star > 0.0 and r_star < first_zero_estimate(order.nu)):
+        raise RootBracketError(f"critical point r*={r_star} is not in the first lobe of J_{order.nu}")
+    value = j_star * r_star ** (1.0 - d / 2.0)
     slack = 1e-11 * value
     enc = Enclosure(value - slack, value + slack, truncation_bound=slack)
     return NormValue(key=key, enclosure=enc, R_used=r_star, method=Method.SUP_SCAN)

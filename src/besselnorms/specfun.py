@@ -19,7 +19,6 @@ __all__ = [
     "EvalAccuracy",
     "DEFAULT_ACCURACY",
     "bessel_j",
-    "bessel_j_array",
     "log_gamma",
     "landau_constant",
     "sup_critical_point",
@@ -28,8 +27,9 @@ __all__ = [
     "RootBracketError",
 ]
 
-# sup over nu > 0, r > 0 of |r^(1/3) J_nu(r)|, a classical constant.
-_LANDAU_CONSTANT = 0.785746
+# sup over nu > 0, r > 0 of |r^(1/3) J_nu(r)| = 0.78574687... (Landau,
+# J. London Math. Soc. 61, 2000), rounded up because it enters the bound U.
+_LANDAU_CONSTANT = 0.7857469
 
 
 class SpecfunDomainError(ValueError):
@@ -37,7 +37,7 @@ class SpecfunDomainError(ValueError):
 
 
 class RootBracketError(RuntimeError):
-    """No sign change found below the search cap."""
+    """No first-lobe sign change of the critical-point residual was found."""
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,6 @@ def bessel_j(nu: BesselOrder, r: float, accuracy: EvalAccuracy = DEFAULT_ACCURAC
     return float(jv(nu.nu, r))
 
 
-def bessel_j_array(nu: BesselOrder, r: np.ndarray) -> np.ndarray:
-    """Vectorized J_nu over a non-negative array (no limit checks)."""
-    return jv(nu.nu, r)
-
-
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if x <= 0:
@@ -112,18 +107,23 @@ def log_gamma(x: float) -> float:
 
 
 def landau_constant() -> float:
-    """The constant L = sup_{nu>0, r>0} |r^(1/3) J_nu(r)| = 0.785746..."""
+    """L = sup_{nu>0, r>0} |r^(1/3) J_nu(r)| = 0.78574687..., rounded up."""
     return _LANDAU_CONSTANT
 
 
 def first_zero_estimate(nu: float) -> float:
-    """McMahon-type upper estimate for the first positive zero of J_nu."""
-    # j_{nu,1} ~ nu + 1.8557571 nu^(1/3) for large nu; small-order floor keeps
-    # the estimate above j_{0,1} ~ 2.4048.
+    """Upper estimate for the first positive zero j_{nu,1} of J_nu.
+
+    For nu > 0, j_{nu,1} exceeds nu + 1.8557571 nu^(1/3) by less than
+    1.0332 nu^(-1/3) (Qu and Wong, Trans. AMS 351, 1999).  So for nu >= 1 the
+    estimate is above j_{nu,1} and less than pi above it, hence below j_{nu,2}:
+    zeros of J_nu are more than pi apart for nu > 1/2.
+    """
+    # the small-order floor keeps the estimate above j_{0,1} ~ 2.4048
     return nu + 1.8557571 * max(nu, 1.0) ** (1.0 / 3.0) + 2.5
 
 
-def sup_critical_point(d: int, k: int, search_cap: float | None = None) -> float:
+def sup_critical_point(d: int, k: int) -> float:
     """Smallest r* > 0 where r^(1-d/2) J_nu(r), nu = d/2 - 1 + k, peaks.
 
     Critical points solve k*J_nu(r) = r*J_{nu+1}(r); the first sign change of
@@ -133,9 +133,7 @@ def sup_critical_point(d: int, k: int, search_cap: float | None = None) -> float
         raise SpecfunDomainError(f"need d >= 2 and k >= 1, got d={d}, k={k}")
     order = BesselOrder.from_dim_degree(d, k)
     nu = order.nu
-    cap = search_cap if search_cap is not None else first_zero_estimate(nu) + 2.0
-    if cap < first_zero_estimate(nu):
-        raise SpecfunDomainError(f"search_cap={cap} is below the first-zero estimate for nu={nu}")
+    cap = first_zero_estimate(nu) + 2.0
 
     def residual(r: np.ndarray) -> np.ndarray:
         return k * jv(nu, r) - r * jv(nu + 1.0, r)
@@ -146,7 +144,7 @@ def sup_critical_point(d: int, k: int, search_cap: float | None = None) -> float
     # residual is positive near 0 for k >= 1; find the first strict sign flip
     flips = np.nonzero((sign[:-1] > 0) & (sign[1:] < 0))[0]
     if flips.size == 0:
-        raise RootBracketError(f"no sign change below search_cap={cap} for d={d}, k={k}")
+        raise RootBracketError(f"no sign change below r={cap} for d={d}, k={k}")
     lo, hi = float(grid[flips[0]]), float(grid[flips[0] + 1])
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)

@@ -1,8 +1,10 @@
-"""Independent fine-grid Simpson evaluation of the truncated integrals.
+"""Independent fine-grid oracles: Simpson evaluation of the truncated
+integrals, and a dense scan of the sup-norm profile.
 
-Deliberately shares no code with the package's panel quadrature: plain
-uniform-grid Simpson on [a, R] with a tiny analytic bound for [0, a], so it
-can serve as a soundness oracle for the enclosures.
+Deliberately shares no code with the package's panel quadrature or its
+critical-point search: plain uniform-grid Simpson on [a, R] with a tiny
+analytic bound for [0, a], and plain sampling with a decay envelope, so
+they can serve as soundness oracles for the enclosures.
 """
 
 import numpy as np
@@ -10,6 +12,9 @@ from scipy.integrate import simpson
 from scipy.special import jv
 
 ORIGIN_CUT = 1e-6
+
+# sup over nu > 0, r > 0 of |r^(1/3) J_nu(r)| (Landau, 2000), rounded up
+LANDAU_UPPER = 0.7857469
 
 
 def simpson_weighted_power(d: int, p: float, k: int, R: float, h: float = 1e-3):
@@ -40,3 +45,18 @@ def simpson_cross_term(d: int, p: float, k: int, R: float, h: float = 1e-3):
     origin = ORIGIN_CUT**d / d
     allowance = origin + 1e-9 * (1.0 + abs(value))
     return value, allowance
+
+
+def sup_scan_max(d: int, k: int, h: float = 0.01) -> float:
+    """Upper estimate of sup_r |r^(1-d/2) J_nu(r)|, nu = d/2 - 1 + k.
+
+    The larger of the sampled maximum on an h-step grid up to r_end =
+    3 nu + 20 and the decreasing envelope r^(1-d/2) min(r^(-1/2), L r^(-1/3))
+    at r_end, which dominates the profile beyond the grid.
+    """
+    nu = d / 2.0 - 1.0 + k
+    r_end = 3.0 * nu + 20.0
+    r = np.arange(h, r_end + h / 2, h)
+    sampled = float(np.max(np.abs(jv(nu, r) * r ** (1.0 - d / 2.0))))
+    decay = r_end ** (1.0 - d / 2.0) * min(r_end**-0.5, LANDAU_UPPER * r_end ** (-1.0 / 3.0))
+    return max(sampled, decay)

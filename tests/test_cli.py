@@ -67,6 +67,10 @@ class TestNormCommand:
         code, _ = run(capsys, "norm", "--d", "2", "--p", "abc", "--k", "0", "--cache", cache_file)
         assert code == 2
 
+    def test_sup_order_beyond_accuracy_limit_exits_2(self, capsys, cache_file):
+        code, _ = run(capsys, "norm", "--d", "3", "--p", "inf", "--k", "60", "--cache", cache_file)
+        assert code == 2
+
 
 class TestVerifyCommand:
     def test_p4_passes(self, capsys, cache_file):

@@ -26,6 +26,12 @@ class TestSupMonotone:
     def test_beyond_published_dimensions(self):
         assert verify_sup_monotone(12, 4).status is Status.PASS
 
+    def test_gap_floor_scales_with_the_values(self):
+        # near k=30 at d=12 the values are about 3e-9, so an absolute 1e-9 floor swallows their gaps
+        record = verify_sup_monotone(12, 30)
+        assert record.status is Status.PASS
+        assert record.witnesses[-1][1].enclosure.upper < 3e-9
+
     def test_needs_at_least_two_steps(self):
         with pytest.raises(ValueError):
             verify_sup_monotone(3, 1)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from scipy.special import jv
 
 import besselnorms.norms as norms
 from besselnorms.norms import (
@@ -25,12 +26,16 @@ from besselnorms.norms import (
     weighted_l2_identity,
 )
 from besselnorms.quadrature import Enclosure
-from besselnorms.specfun import BesselOrder, SpecfunDomainError
+from besselnorms.specfun import BesselOrder, RootBracketError, SpecfunDomainError, first_zero_estimate
 
-from oracles import simpson_weighted_power
+from oracles import simpson_weighted_power, sup_scan_max
 
-# Gamma-expression value of U(2, 6, 1), 30-digit evaluation, frozen
-U_2_6_1 = 0.43723146832511236
+# Gamma-expression value of U(2, 6, 1) with the Landau constant 0.7857469,
+# 30-digit evaluation, frozen
+U_2_6_1 = 0.43723347156278756
+
+# degrees for the dense-scan check of the sup norms
+SUP_ORACLE_DEGREES = (1, 2, 3, 5, 8, 13, 21, 30, 40)
 
 # integral of J_1(r)^2 r^(-1/2) over (0, inf): piecewise Simpson on [0, 2e5]
 # plus the asymptotic-mean tail (2/pi) R^(-1/2), frozen; accurate to ~5e-9
@@ -167,6 +172,28 @@ class TestSupNorms:
     def test_strictly_decreasing_in_degree(self):
         values = [lambda_sup(5, k).enclosure.midpoint for k in range(5)]
         assert values == sorted(values, reverse=True)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_dense_scan_stays_below_upper_end(self, d):
+        for k in SUP_ORACLE_DEGREES:
+            nv = lambda_sup(d, k)
+            r_star, nu = nv.R_used, d / 2.0 - 1.0 + k
+            # the premise of the first-lobe argument
+            assert jv(nu, r_star) > 0.0
+            assert r_star < first_zero_estimate(nu)
+            assert sup_scan_max(d, k) <= nv.enclosure.upper * (1.0 + 1e-12), (d, k)
+
+    @pytest.mark.parametrize("r_star", [4.0, 8.5])
+    def test_critical_point_outside_first_lobe_is_rejected(self, monkeypatch, r_star):
+        # J_1 < 0 at 4.0 (second lobe); J_1 > 0 at 8.5 (third lobe)
+        monkeypatch.setattr(norms, "sup_critical_point", lambda d, k: r_star)
+        with pytest.raises(RootBracketError):
+            lambda_sup(2, 1)
+
+    def test_order_beyond_accuracy_limit_rejected(self):
+        # 2 nu = 1 + 2 * 60 = 121 exceeds the default max_twice_nu of 120
+        with pytest.raises(SpecfunDomainError):
+            lambda_sup(3, 60)
 
 
 class TestClosedForms:

@@ -7,7 +7,6 @@ from scipy.special import jv
 from besselnorms.specfun import (
     BesselOrder,
     EvalAccuracy,
-    RootBracketError,
     SpecfunDomainError,
     bessel_j,
     landau_constant,
@@ -123,7 +122,8 @@ class TestLogGamma:
 
 class TestLandauConstant:
     def test_value(self):
-        assert landau_constant() == pytest.approx(0.785746, abs=1e-6)
+        # rounded up from 0.78574687... so that U stays an upper bound
+        assert 0.78574687 < landau_constant() <= 0.7857469
 
     def test_dominates_scaled_profiles(self):
         # sampled max of |r^(1/3) J_nu(r)| over moderate orders
@@ -157,10 +157,6 @@ class TestSupCriticalPoint:
         profile = lambda r: r ** (1 - d / 2) * jv(nu, r)
         assert profile(r_star) > profile(r_star - 0.01)
         assert profile(r_star) > profile(r_star + 0.01)
-
-    def test_cap_too_small(self):
-        with pytest.raises((RootBracketError, SpecfunDomainError)):
-            sup_critical_point(2, 1, search_cap=0.5)
 
     def test_domain(self):
         with pytest.raises(SpecfunDomainError):
