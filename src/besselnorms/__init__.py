@@ -23,4 +23,4 @@ from .norms import (
     weighted_l2_identity,
 )
 from .quadrature import Enclosure, QuadConfig
-from .specfun import BesselOrder, EvalAccuracy, bessel_j, landau_constant, log_gamma, sup_critical_point
+from .specfun import BesselOrder, bessel_j, landau_constant, log_gamma, sup_critical_point

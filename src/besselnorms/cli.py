@@ -234,7 +234,7 @@ def cmd_verify(args, config: RunConfig) -> int:
 def cmd_sweep(args, config: RunConfig) -> int:
     threshold, results = p0_report(args.d, step=config.grid_step, cfg=config.quad)
     entries = []
-    ok = threshold <= golden.THRESHOLDS[args.d] + 1e-12
+    ok = golden.meets_threshold(threshold, golden.THRESHOLDS[args.d])
     for res in results:
         entries.append(
             {
@@ -295,7 +295,7 @@ def _table_rows(table: str, config: RunConfig) -> list[dict]:
 
     entries = []
     for label, params, value, ref in rows:
-        matched = value <= ref + 1e-12 if table == "thresholds" else golden.matches_6sf(value, ref)
+        matched = golden.meets_threshold(value, ref) if table == "thresholds" else golden.matches_6sf(value, ref)
         entries.append(
             {
                 "id": f"reproduce:{label}",

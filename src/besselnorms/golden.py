@@ -17,6 +17,7 @@ __all__ = [
     "THRESHOLDS",
     "round_sig",
     "matches_6sf",
+    "meets_threshold",
 ]
 
 # sup norms at degree one, d = 2..10
@@ -109,3 +110,9 @@ def matches_6sf(computed: float, reference: float) -> bool:
         return computed == 0.0
     ulp = 10.0 ** (math.floor(math.log10(abs(reference))) - 5)
     return abs(round_sig(computed) - round_sig(reference)) <= ulp * (1.0 + 1e-9)
+
+
+def meets_threshold(certified: float, published: float) -> bool:
+    """A certified exponent threshold reproduces a published one when it is no
+    larger (up to 1e-12): the published exponent is then certified too."""
+    return certified <= published + 1e-12

@@ -23,6 +23,7 @@ from .specfun import (
     RootBracketError,
     SpecfunDomainError,
     bessel_j,
+    check_admissible,
     first_zero_estimate,
     landau_constant,
     log_gamma,
@@ -75,13 +76,7 @@ class NormKey:
     k: int
 
     def __post_init__(self):
-        if self.d < 2 or self.k < 0:
-            raise SpecfunDomainError(f"need d >= 2 and k >= 0, got d={self.d}, k={self.k}")
-        if not self.p > 2.0 * self.d / (self.d - 1):
-            raise SpecfunDomainError(
-                f"inadmissible exponent p={self.p} for d={self.d} "
-                f"(need p > {2.0*self.d/(self.d-1)})"
-            )
+        check_admissible(self.d, self.k, self.p)
 
     @property
     def nu(self) -> float:
@@ -248,10 +243,7 @@ def upper_bound_U(d: int, p: float, k: int) -> float:
 
 def lower_bound_L0(d: int, p: float) -> float:
     """Strict lower bound on the degree-zero norm at exponent p."""
-    if d < 2:
-        raise SpecfunDomainError(f"need d >= 2, got {d}")
-    if not p > 2.0 * d / (d - 1):
-        raise SpecfunDomainError(f"inadmissible p={p} for d={d}")
+    check_admissible(d, p=p)
     log_prefactor = ((d - 1) * math.log(2.0) + (d / 2.0) * math.log(d / 2.0)) / p
     log_prefactor -= (d / 2.0 - 1.0) * math.log(2.0) + log_gamma(d / 2.0)
     log_ratio = (log_gamma(p + 1.0) + log_gamma(d / 2.0) - log_gamma(p + d / 2.0 + 1.0)) / p

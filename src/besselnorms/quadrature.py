@@ -15,9 +15,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import jv
 
-from .specfun import SpecfunDomainError, log_gamma
+from .specfun import BesselOrder, SpecfunDomainError, bessel_j, check_admissible, log_gamma
 
 __all__ = [
     "Enclosure",
@@ -130,10 +129,7 @@ DEFAULT_QUAD_CONFIG = QuadConfig()
 
 
 def _check_weighted_preconditions(d: int, p: float, k: int, R: float) -> None:
-    if d < 2 or k < 0:
-        raise SpecfunDomainError(f"need d >= 2 and k >= 0, got d={d}, k={k}")
-    if not p > 2.0 * d / (d - 1):
-        raise SpecfunDomainError(f"inadmissible exponent p={p} for d={d} (need p > {2*d/(d-1)})")
+    check_admissible(d, k, p)
     if R <= 0:
         raise SpecfunDomainError(f"truncation radius must be positive, got {R}")
 
@@ -152,8 +148,7 @@ def _zero_degree_amplitude(d: int, r: np.ndarray) -> np.ndarray:
 
 def _amplitude(d: int, k: int, r: np.ndarray) -> np.ndarray:
     """|J_{d/2-1+k}(r) r^(1-d/2)| evaluated stably down to r = 0+."""
-    nu = d / 2.0 - 1.0 + k
-    out = np.abs(jv(nu, r) * r ** (1.0 - d / 2.0))
+    out = np.abs(bessel_j(BesselOrder.from_dim_degree(d, k), r) * r ** (1.0 - d / 2.0))
     if k == 0:
         small = r < 1e-3
         if np.any(small):

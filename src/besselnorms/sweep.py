@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 _MARGIN_FLOOR = 1e-8
+# dimensions whose threshold lies below p = 4, so a second sweep on
+# [p_st(d), 4] is stitched to the step-1 sweep at the seam p = 4
+_STEP2_DIMENSIONS = range(4, 9)
 # beyond this exponent both sides are within 1e-6 of their limits; the sweep
 # defers to the explicit limit comparison
 _P_LIMIT_SWITCH = 60.0
@@ -71,16 +74,18 @@ def _threshold_from_grid(p_grid, margins) -> float | None:
     return p_grid[last_bad + 1]
 
 
-def _ascending_grid(p_min: float, p_max: float, step: float) -> list[float]:
+def _grid(start: float, stop: float, step: float) -> list[float]:
+    """start, start +- step, ... towards stop (inclusive within 1e-12), each
+    point rounded to 12 places; step > 0."""
+    descending = stop < start
     grid = []
     n = 0
     while True:
-        p = round(p_min + n * step, 12)
-        if p > p_max + 1e-12:
-            break
+        p = round(start - n * step if descending else start + n * step, 12)
+        if (p < stop - 1e-12) if descending else (p > stop + 1e-12):
+            return grid
         grid.append(p)
         n += 1
-    return grid
 
 
 def _anchor(d: int) -> tuple[float, int, float | None, float]:
@@ -110,7 +115,7 @@ def sweep_step1(
         raise ValueError(f"need p_min >= {p_anchor:g}, got {p_min}")
     anchor_upper = lambda_power(NormKey(d, p_anchor, k_anchor), R=R_anchor, cfg=cfg).upper
     sup1_upper = lambda_sup(d, 1).enclosure.upper
-    grid = _ascending_grid(p_min, p_max, step)
+    grid = _grid(p_min, p_max, step)
     margins = []
     for p in grid:
         upper = constant ** (1.0 / p) * anchor_upper ** (1.0 / p) * sup1_upper ** (1.0 - p_anchor / p)
@@ -137,19 +142,12 @@ def sweep_step2(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFI
     The grid is anchored at p = 4 and descends, so it shares the seam point
     with the step-1 grid and hits the published thresholds exactly.
     """
-    if not 4 <= d <= 8:
-        raise ValueError(f"need 4 <= d <= 8, got {d}")
+    if d not in _STEP2_DIMENSIONS:
+        raise ValueError(f"need {_STEP2_DIMENSIONS[0]} <= d <= {_STEP2_DIMENSIONS[-1]}, got {d}")
     pst = stein_tomas_exponent(d)
     lam41_upper = lambda_power(NormKey(d, 4.0, 1), R=40.0, cfg=cfg).upper
     lampst1_upper = lambda_power(NormKey(d, pst, 1), R=50.0, cfg=cfg).upper
-    grid = []
-    n = 0
-    while True:
-        p = round(4.0 - n * step, 12)
-        if p < pst - 1e-12:
-            break
-        grid.append(p)
-        n += 1
+    grid = _grid(4.0, pst, step)
     if abs(grid[-1] - pst) > 1e-12:
         grid.append(pst)
     grid.reverse()
@@ -175,19 +173,13 @@ def p0_report(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFIG)
     Stitches the two interpolation regimes at the shared seam p = 4 for the
     middle dimensions; raises if any constituent sweep fails to certify.
     """
-    if not 2 <= d <= 10:
-        raise ValueError(f"need 2 <= d <= 10, got {d}")
-    if d in (2, 3, 9, 10):
-        res = sweep_step1(d, step=step, cfg=cfg)
-        results = [res]
-        threshold = res.certified_threshold
-    else:
-        res1 = sweep_step1(d, step=step, cfg=cfg)
+    res1 = sweep_step1(d, step=step, cfg=cfg)
+    results = [res1]
+    threshold = res1.certified_threshold
+    if d in _STEP2_DIMENSIONS:
         res2 = sweep_step2(d, step=step, cfg=cfg)
-        results = [res1, res2]
-        if res1.certified_threshold is None or res1.certified_threshold > 4.0:
-            threshold = res1.certified_threshold
-        else:
+        results.append(res2)
+        if threshold is not None and threshold <= 4.0:
             threshold = res2.certified_threshold
     if threshold is None:
         raise RuntimeError(f"no certified threshold for d={d}")

@@ -71,6 +71,11 @@ class TestNormCommand:
         code, _ = run(capsys, "norm", "--d", "3", "--p", "inf", "--k", "60", "--cache", cache_file)
         assert code == 2
 
+    def test_sup_search_order_beyond_accuracy_limit_exits_2(self, capsys, cache_file):
+        # J_60 is admitted, but the critical-point search needs J_61
+        code, _ = run(capsys, "norm", "--d", "2", "--p", "inf", "--k", "60", "--cache", cache_file)
+        assert code == 2
+
 
 class TestVerifyCommand:
     def test_p4_passes(self, capsys, cache_file):

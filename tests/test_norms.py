@@ -4,6 +4,7 @@ import pytest
 from scipy.special import jv
 
 import besselnorms.norms as norms
+import besselnorms.specfun as specfun
 from besselnorms.norms import (
     INFINITY,
     BestKResult,
@@ -190,10 +191,14 @@ class TestSupNorms:
         with pytest.raises(RootBracketError):
             lambda_sup(2, 1)
 
-    def test_order_beyond_accuracy_limit_rejected(self):
-        # 2 nu = 1 + 2 * 60 = 121 exceeds the default max_twice_nu of 120
+    def test_order_beyond_accuracy_limit_rejected(self, monkeypatch):
+        # 2 nu = 1 + 2 * 60 = 121 exceeds MAX_TWICE_NU = 120; the order is
+        # rejected before any evaluation
+        calls = []
+        monkeypatch.setattr(specfun, "jv", lambda *a: calls.append(a) or jv(*a))
         with pytest.raises(SpecfunDomainError):
             lambda_sup(3, 60)
+        assert calls == []
 
 
 class TestClosedForms:

@@ -162,6 +162,8 @@ class TestIntegrateWeightedPower:
             integrate_weighted_power(3, 4.0, 0, -1.0)
         with pytest.raises(SpecfunDomainError):
             integrate_weighted_power(1, 4.0, 0, 40.0)
+        with pytest.raises(SpecfunDomainError):
+            integrate_weighted_power(3, 4.0, 1, 1500.0)  # beyond MAX_ARGUMENT
 
     def test_cross_term_degree_zero_equals_power(self):
         a = integrate_weighted_power(3, 4.0, 0, 60.0)

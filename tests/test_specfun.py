@@ -1,14 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import jv
 
 from besselnorms.specfun import (
+    MAX_TWICE_NU,
     BesselOrder,
-    EvalAccuracy,
     SpecfunDomainError,
     bessel_j,
+    first_zero_lower_bound,
     landau_constant,
     log_gamma,
     sup_critical_point,
@@ -58,9 +60,17 @@ class TestBesselJ:
             bessel_j(BesselOrder(0), 1500.0)
         with pytest.raises(SpecfunDomainError):
             bessel_j(BesselOrder(130), 1.0)
-        acc = EvalAccuracy(max_argument=10.0)
+
+    def test_array_matches_scalar_and_is_checked(self):
+        r = np.array([0.5, 3.0, 40.0, 999.0])
+        got = bessel_j(BesselOrder(3), r)
+        assert list(got) == [bessel_j(BesselOrder(3), float(x)) for x in r]
         with pytest.raises(SpecfunDomainError):
-            bessel_j(BesselOrder(0), 20.0, acc)
+            bessel_j(BesselOrder(3), np.array([1.0, 1500.0]))
+        with pytest.raises(SpecfunDomainError):
+            bessel_j(BesselOrder(3), np.array([-1.0, 1.0]))
+        with pytest.raises(SpecfunDomainError):
+            bessel_j(BesselOrder(MAX_TWICE_NU + 1), r)
 
     @pytest.mark.parametrize("twice_nu", [1, 3])
     def test_half_integer_closed_forms_on_range(self, twice_nu):
@@ -163,3 +173,19 @@ class TestSupCriticalPoint:
             sup_critical_point(1, 1)
         with pytest.raises(SpecfunDomainError):
             sup_critical_point(3, 0)
+
+    def test_bracket_signs_on_every_admitted_pair(self):
+        # d >= 2, k >= 1 and J_{nu+1} within the order limit: 2 nu + 2 = d + 2k
+        pairs = np.array([(d, k) for k in range(1, MAX_TWICE_NU) for d in range(2, MAX_TWICE_NU + 1 - 2 * k)])
+        assert len(pairs) == 3481
+        d, k = pairs[:, 0], pairs[:, 1]
+        nu = d / 2.0 - 1.0 + k
+        residual = lambda r: k * jv(nu, r) - r * jv(nu + 1.0, r)
+        assert np.all(residual(np.full(len(nu), 1e-3)) > 0.0)
+        assert np.all(residual(first_zero_lower_bound(nu)) < 0.0)
+
+    def test_upper_bracket_end_below_first_zero(self):
+        for twice_nu in (2, 3, 4, 7, 12, 25, 50, 90, 118, 120):
+            nu = twice_nu / 2.0
+            first_zero = float(mpmath.besseljzero(mpmath.mpf(twice_nu) / 2, 1))
+            assert first_zero - first_zero_lower_bound(nu) > 0.26, twice_nu
