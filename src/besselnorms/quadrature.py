@@ -3,20 +3,24 @@
 
 Each integral is reported as an Enclosure: a truncated value bracketed by a
 summed per-panel error estimate (difference of two Gauss orders), plus a
-separately tracked tail contribution.  Panels are at most a fraction of the
-Bessel oscillation period wide and are halved where the estimate is large.
+separately tracked tail contribution.  The starting panels are at most a
+fraction of the Bessel oscillation period wide; where the exponent on |J_nu|
+is not an even integer, the zeros of J_nu in (0, R) are panel edges too, so
+the kink of |J_nu|^p there is an endpoint of a panel rather than an interior
+point that the error estimate can miss.  Panels are halved where the estimate
+is large, and each panel is evaluated once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .specfun import BesselOrder, SpecfunDomainError, bessel_j, check_admissible, log_gamma
+from .specfun import BesselOrder, SpecfunDomainError, bessel_j, bessel_zeros, check_admissible, log_gamma
 
 __all__ = [
     "Enclosure",
@@ -180,39 +184,43 @@ def panel_integrate(
     a: float,
     b: float,
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
+    breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
     """Integrate f on [a, b]; returns (value, error estimate).
 
-    Starts from equal panels no wider than cfg.panel_length; per-panel error
-    is |high-order - low-order| and panels above their share of the budget
-    are halved, up to cfg.max_refinements rounds.  Summation is in panel
-    order, so results are run-to-run identical.
+    The starting edges are equal steps no wider than cfg.panel_length plus
+    every breakpoint inside (a, b), where f may have a kink (the known
+    breakpoints of QUADPACK's QAGP).  Per-panel error is |high-order -
+    low-order|; panels above their share of the budget are halved, up to
+    cfg.max_refinements rounds.  Each panel is evaluated once, in the round
+    that creates it: a round calls f on the new children only, at the
+    high-order nodes and then at the low-order nodes.  Panels stay sorted by
+    start, so results are run-to-run identical.
     """
     if b <= a:
         raise ValueError(f"empty interval [{a}, {b}]")
     n0 = max(1, math.ceil((b - a) / cfg.panel_length))
-    edges = np.linspace(a, b, n0 + 1)
-    panels = np.column_stack([edges[:-1], edges[1:]])
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    edges = np.union1d(np.linspace(a, b, n0 + 1), breakpoints[(breakpoints > a) & (breakpoints < b)])
     xh, wh = leggauss(cfg.gauss_order_high)
     xl, wl = leggauss(cfg.gauss_order_low)
 
-    hi = err = None
-    for round_idx in range(cfg.max_refinements + 1):
+    def evaluate(panels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         half = 0.5 * (panels[:, 1] - panels[:, 0])
         mid = 0.5 * (panels[:, 0] + panels[:, 1])
-        nodes_h = mid[:, None] + half[:, None] * xh[None, :]
-        nodes_l = mid[:, None] + half[:, None] * xl[None, :]
-        hi = (f(nodes_h) * wh[None, :]).sum(axis=1) * half
-        lo = (f(nodes_l) * wl[None, :]).sum(axis=1) * half
-        err = np.abs(hi - lo)
-        total_err = float(err.sum())
-        if total_err <= cfg.abs_tol or round_idx == cfg.max_refinements:
+        hi = (f(mid[:, None] + half[:, None] * xh[None, :]) * wh[None, :]).sum(axis=1) * half
+        lo = (f(mid[:, None] + half[:, None] * xl[None, :]) * wl[None, :]).sum(axis=1) * half
+        return hi, np.abs(hi - lo)
+
+    panels = np.column_stack([edges[:-1], edges[1:]])
+    hi, err = evaluate(panels)
+    for _ in range(cfg.max_refinements):
+        if float(err.sum()) <= cfg.abs_tol:
             break
         share = cfg.abs_tol / (2.0 * len(panels))
         bad = err > share
         if not np.any(bad):
             bad = err == err.max()
-        keep = panels[~bad]
         split = panels[bad]
         mids = 0.5 * (split[:, 0] + split[:, 1])
         children = np.concatenate(
@@ -221,8 +229,12 @@ def panel_integrate(
                 np.column_stack([mids, split[:, 1]]),
             ]
         )
-        panels = np.concatenate([keep, children])
-        panels = panels[np.argsort(panels[:, 0])]
+        child_hi, child_err = evaluate(children)
+        panels = np.concatenate([panels[~bad], children])
+        hi = np.concatenate([hi[~bad], child_hi])
+        err = np.concatenate([err[~bad], child_err])
+        order = np.argsort(panels[:, 0])
+        panels, hi, err = panels[order], hi[order], err[order]
 
     value = float(hi.sum())
     total_err = float(err.sum())
@@ -234,21 +246,40 @@ def panel_integrate(
     return value, total_err
 
 
+def _kinks(order: BesselOrder, exponent: float, R: float) -> np.ndarray:
+    """Zeros of J_order in (0, R) where |J_order|^exponent has a kink.
+
+    An even exponent gives a smooth power and no breakpoints.
+    """
+    if exponent % 2.0 == 0.0:
+        return np.empty(0)
+    return bessel_zeros(order, R)
+
+
 def integrate_weighted_power(
     d: int, p: float, k: int, R: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
 ) -> Enclosure:
-    """Enclosure of the truncated weighted power integral on [0, R]."""
+    """Enclosure of the truncated weighted power integral on [0, R].
+
+    Panel edges sit at the zeros of J_{d/2-1+k} unless p is even.
+    """
     _check_weighted_preconditions(d, p, k, R)
-    value, err = panel_integrate(weighted_power_integrand(d, p, k), 0.0, R, cfg)
+    kinks = _kinks(BesselOrder.from_dim_degree(d, k), p, R)
+    value, err = panel_integrate(weighted_power_integrand(d, p, k), 0.0, R, cfg, kinks)
     return Enclosure(max(value - err, 0.0), value + err, quad_error_bound=err)
 
 
 def integrate_cross_term(
     d: int, p: float, k: int, R: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
 ) -> Enclosure:
-    """Enclosure of the truncated cross integral on [0, R]."""
+    """Enclosure of the truncated cross integral on [0, R].
+
+    Panel edges sit at the zeros of J_{d/2-1} unless p - 2 is even; the
+    factor |J_{d/2-1+k}|^2 is smooth and adds none.
+    """
     _check_weighted_preconditions(d, p, k, R)
-    value, err = panel_integrate(cross_term_integrand(d, p, k), 0.0, R, cfg)
+    kinks = _kinks(BesselOrder.from_dim_degree(d, 0), p - 2.0, R)
+    value, err = panel_integrate(cross_term_integrand(d, p, k), 0.0, R, cfg, kinks)
     return Enclosure(max(value - err, 0.0), value + err, quad_error_bound=err)
 
 

@@ -1,5 +1,6 @@
-"""Bessel functions of integer and half-integer order, log-Gamma, and the
-first local maximum of the weighted radial profile r^{1-d/2} J_nu(r).
+"""Bessel functions of integer and half-integer order and their zeros,
+log-Gamma, and the first local maximum of the weighted radial profile
+r^{1-d/2} J_nu(r).
 
 Orders are carried around as exact integers (twice the order), which covers
 every order nu = d/2 - 1 + k arising from a dimension d >= 2 and a degree
@@ -20,6 +21,7 @@ __all__ = [
     "MAX_TWICE_NU",
     "check_admissible",
     "bessel_j",
+    "bessel_zeros",
     "log_gamma",
     "landau_constant",
     "sup_critical_point",
@@ -99,6 +101,31 @@ def bessel_j(nu: BesselOrder, r):
     if r == 0.0:
         return 1.0 if nu.twice_nu == 0 else 0.0
     return float(jv(nu.nu, r))
+
+
+def bessel_zeros(nu: BesselOrder, upto: float) -> np.ndarray:
+    """The zeros of J_nu in (0, upto), ascending, to within an ulp or so.
+
+    Consecutive zeros of J_nu, nu >= 0, lie more than 3 apart (the gap tends
+    to pi, from below for nu < 1/2 and from above for nu > 1/2, and
+    j_{0,1} ~ 2.405), so each cell of a grid with step at most pi/2 holds at
+    most one zero, which shows as a sign change unless it falls on a grid
+    point.  All the brackets are bisected together until no midpoint falls
+    strictly inside its bracket; every value comes from bessel_j, at the
+    order nu only.
+    """
+    grid = np.linspace(0.0, upto, max(1, math.ceil(upto / (math.pi / 2.0))) + 1)
+    values = bessel_j(nu, grid)
+    cells = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    lo, hi = grid[cells], grid[cells + 1]
+    lo_sign = np.sign(values[cells])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return mid
+        below = np.sign(bessel_j(nu, mid)) == lo_sign
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
 
 
 def log_gamma(x: float) -> float:

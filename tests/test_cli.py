@@ -224,6 +224,15 @@ class TestCache:
         assert len(integrals) == 2
         assert len(json.loads(Path(cache_file).read_text())["entries"]) == 2
 
+    def test_file_from_engine_0_1_0_is_discarded(self, cache_file):
+        # 0.1.0 stored the (d=5, p=3) cross integrals without edges at the zeros,
+        # e.g. M(1) on [0, 200] some 6,700 error estimates below its true value
+        stale = ResultCache(cache_file, "0.1.0")
+        stale.data["M(1)"] = [0.10531172276898517, 0.10531172277929292, 0.0, 5.153875483633352e-12]
+        stale.dirty = True
+        stale.save()
+        assert ResultCache(cache_file).data == {}
+
     def test_corrupt_entry_is_dropped(self, capsys, cache_file):
         args = ("norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
         _, fresh = run_json(capsys, *args)

@@ -1,8 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from besselnorms import golden, quadrature
+from besselnorms.local import verify_holder_chain, verify_second_order_positivity
+from besselnorms.norms import clear_memo_cache, stein_tomas_exponent
 from besselnorms.quadrature import (
     DEFAULT_QUAD_CONFIG,
     Enclosure,
@@ -17,9 +21,69 @@ from besselnorms.quadrature import (
     weighted_power_integrand,
     zero_order_tail_bound,
 )
-from besselnorms.specfun import SpecfunDomainError
+from besselnorms.specfun import BesselOrder, SpecfunDomainError, bessel_zeros
 
 from oracles import simpson_weighted_power
+
+# Truncated integrals at (d=5, p=3), where |J_{3/2}|^(p-2) and |J_{d/2-1+k}|^p
+# have kinks at the zeros, frozen from 20-digit mpmath.quad split there:
+#   mp.dps = 20; w = 1 - mpf(5)/2; nu0 = mpf(3)/2
+#   zeros = lambda nu, R: [z for z in (besseljzero(nu, n) for n in range(1, 80)) if z < R]
+#   cross = lambda k: lambda r: abs(besselj(nu0, r)*r**w) * (besselj(nu0 + k, r)*r**w)**2 * r**4
+#   quad(cross(k), [0] + zeros(nu0, 200) + [200])                    # k = 1, 4, 8
+#   power = lambda r: abs(besselj(nu0 + 2, r)*r**w)**3 * r**4
+#   quad(power, [0] + zeros(nu0 + 2, 50) + [50])
+CROSS_5_3_R200 = {1: 0.10531175757985376, 4: 0.045489211209227405, 8: 0.025736200347072221}
+POWER_5_3_K2_R50 = 0.096552573263792616
+
+# even exponents add no panel edges; these enclosures predate the edges at zeros
+EVEN_P_ENCLOSURES = {
+    (3, 4.0, 1): "Enclosure(lower=0.1477828104211968, upper=0.14778281042249342, "
+    "truncation_bound=0.0, quad_error_bound=6.483196147749111e-13)",
+    (2, 6.0, 0): "Enclosure(lower=0.33642538345613776, upper=0.33642538345801737, "
+    "truncation_bound=0.0, quad_error_bound=9.397851201144548e-13)",
+}
+
+LOCAL_MAXIMIZER_PAIRS = [(2, 6.0), (3, 4.0), (4, 10.0 / 3.0), (5, 3.0)]
+
+
+def _counting(f, calls):
+    """f, recording every node array it is called with."""
+
+    def g(r):
+        calls.append(np.array(r))
+        return f(r)
+
+    return g
+
+
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """Node arrays of every integrand call, one list per panel_integrate call."""
+    per_integral = []
+    real = quadrature.panel_integrate
+
+    def recording(f, *args, **kwargs):
+        per_integral.append([])
+        return real(_counting(f, per_integral[-1]), *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "panel_integrate", recording)
+    clear_memo_cache()
+    yield per_integral
+    clear_memo_cache()
+
+
+@pytest.fixture
+def breakpoints_passed(monkeypatch):
+    """Breakpoints handed to panel_integrate; the integral itself is skipped."""
+    passed = []
+
+    def capture(f, a, b, cfg, breakpoints=()):
+        passed.append(np.asarray(breakpoints, dtype=float))
+        return 0.0, 0.0
+
+    monkeypatch.setattr(quadrature, "panel_integrate", capture)
+    return passed
 
 
 class TestEnclosure:
@@ -104,6 +168,11 @@ class TestPanelIntegrate:
         first = panel_integrate(f, 0.0, 40.0)
         second = panel_integrate(f, 0.0, 40.0)
         assert first == second
+
+    def test_breakpoints_outside_the_interval_are_ignored(self):
+        f = weighted_power_integrand(3, 4.0, 1)
+        plain = panel_integrate(f, 0.0, 40.0)
+        assert panel_integrate(f, 0.0, 40.0, DEFAULT_QUAD_CONFIG, [-1.0, 0.0, 40.0, 41.0]) == plain
 
 
 class TestQuadConfig:
@@ -217,3 +286,99 @@ class TestTailBounds:
         assert cross_tail_bound(2, 6.0, 0, 200.0) == zero_order_tail_bound(6.0, 200.0)
         with pytest.raises(SpecfunDomainError):
             cross_tail_bound(3, 4.0, 10, 10.0)
+
+
+class TestKinkedExponents:
+    """Non-even exponents: panel edges at the zeros keep |G16 - G8| honest."""
+
+    @pytest.mark.parametrize("k", sorted(CROSS_5_3_R200))
+    def test_cross_term_encloses_mpmath_value(self, k):
+        enc = integrate_cross_term(5, 3.0, k, 200.0)
+        assert enc.lower <= CROSS_5_3_R200[k] <= enc.upper
+
+    def test_stein_tomas_power_encloses_mpmath_value(self):
+        enc = integrate_weighted_power(5, 3.0, 2, 50.0)
+        assert enc.lower <= POWER_5_3_K2_R50 <= enc.upper
+
+    # orders nu = d/2 - 1 + k = 0, 1/2, 1, 3/2, 30 at admissible non-even p
+    @pytest.mark.parametrize("d, k, p", [(2, 0, 5.0), (3, 0, 3.5), (4, 0, 10.0 / 3.0), (5, 0, 3.0), (2, 30, 5.0)])
+    def test_inserted_edges_are_the_zeros(self, breakpoints_passed, d, k, p):
+        R = 100.0
+        integrate_weighted_power(d, p, k, R)
+        (edges,) = breakpoints_passed
+        nu = mpmath.mpf(d - 2 + 2 * k) / 2
+        expected = [float(mpmath.besseljzero(nu, n)) for n in range(1, len(edges) + 1)]
+        np.testing.assert_allclose(edges, expected, rtol=1e-13, atol=0.0)
+        assert mpmath.besseljzero(nu, len(edges) + 1) > R
+
+    def test_cross_term_edges_come_from_degree_zero(self, breakpoints_passed):
+        integrate_cross_term(5, 3.0, 4, 200.0)
+        (edges,) = breakpoints_passed
+        np.testing.assert_array_equal(edges, bessel_zeros(BesselOrder(3), 200.0))
+
+    def test_even_exponents_add_no_edges(self, breakpoints_passed):
+        integrate_weighted_power(3, 4.0, 1, 200.0)
+        integrate_weighted_power(2, 6.0, 0, 200.0)
+        integrate_cross_term(3, 4.0, 2, 200.0)  # p - 2 = 2
+        integrate_cross_term(2, 6.0, 1, 200.0)  # p - 2 = 4
+        assert [edges.size for edges in breakpoints_passed] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("key", sorted(EVEN_P_ENCLOSURES))
+    def test_even_exponent_enclosures_unchanged(self, key):
+        d, p, k = key
+        assert repr(integrate_weighted_power(d, p, k, 200.0)) == EVEN_P_ENCLOSURES[key]
+
+    def test_long_panels_holding_several_zeros(self):
+        cfg = QuadConfig(panel_length=10.0)
+        for d, p, k, R in [(5, 3.0, 2, 50.0), (4, 10.0 / 3.0, 1, 50.0)]:
+            enc = integrate_weighted_power(d, p, k, R, cfg)
+            value, allowance = simpson_weighted_power(d, p, k, R)
+            assert enc.lower - allowance <= value <= enc.upper + allowance
+
+
+class TestNodeCounts:
+    """Each panel is evaluated once, and no production integral nears the cap."""
+
+    def test_each_panel_evaluated_once(self, integrand_calls):
+        integrate_cross_term(5, 3.0, 1, 200.0)
+        (calls,) = integrand_calls
+        high, low = calls[0::2], calls[1::2]
+        assert [c.shape[1] for c in high] == [16] * len(high)
+        assert [c.shape for c in low] == [(c.shape[0], 8) for c in high]
+        # starting panels: 128 equal steps of at most pi/2 plus the zeros of J_{3/2}
+        start = np.union1d(np.linspace(0.0, 200.0, 129), bessel_zeros(BesselOrder(3), 200.0)).size - 1
+        assert high[0].shape[0] == start
+        panels = np.concatenate(high)
+        assert len(np.unique(panels, axis=0)) == len(panels)
+        assert sum(c.size for c in calls) == 24 * len(panels)
+
+    def _refinements(self, integrand_calls):
+        return [len(calls) // 2 - 1 for calls in integrand_calls]
+
+    def test_local_maximizer_integrals_stay_clear_of_the_cap(self, integrand_calls):
+        for d, p in LOCAL_MAXIMIZER_PAIRS:
+            for k in range(1, 9):
+                verify_holder_chain(d, p, k)
+            verify_second_order_positivity(d, p, 8)
+        rounds = self._refinements(integrand_calls)
+        assert len(rounds) == 68
+        assert max(rounds) <= DEFAULT_QUAD_CONFIG.max_refinements - 2
+
+    def test_stein_tomas_table_stays_clear_of_the_cap(self, integrand_calls):
+        parts = [
+            (50.0, {(d, 1) for d in golden.PST_TRUNCATED_50_K1}),
+            (200.0, set(golden.PST_TRUNCATED_200)),
+            (50.0, {(d, 0) for d in golden.PST_TRUNCATED_50_K0}),
+        ]
+        for R, keys in parts:
+            for d, k in sorted(keys):
+                integrate_weighted_power(d, stein_tomas_exponent(d), k, R)
+        rounds = self._refinements(integrand_calls)
+        assert len(rounds) == 20
+        assert max(rounds) <= DEFAULT_QUAD_CONFIG.max_refinements - 2
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_cross_terms_at_p3_are_cheap(self, integrand_calls, k):
+        integrate_cross_term(5, 3.0, k, 200.0)
+        (calls,) = integrand_calls
+        assert sum(c.size for c in calls) <= 5000
