@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -324,7 +325,9 @@ def cmd_cache(args, config: RunConfig) -> int:
     raise SpecfunDomainError(f"unknown cache action {args.action!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="besselnorms", description=__doc__)
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("json", "csv", "text"), default="text")

@@ -2,26 +2,26 @@
 strict decrease of the sup norms, and domination of every positive degree
 by degree one at p = 4 and at the Stein-Tomas endpoint.
 
-The two degree hierarchies share one two-phase body: explicit enclosures
-for the small degrees, then the decreasing Gamma-function bound U to
-dominate all larger degrees at once; each keeps only its own degree-one
-versus degree-zero step.  Every PASS rests on strictly separated enclosures.
+The two degree hierarchies share one body, norms.best_k with top degree
+one: the decreasing Gamma-function bound U dominates all large degrees at
+once and explicit enclosures the small ones; each keeps only its own
+degree-one versus degree-zero step.  Every PASS rests on strictly separated
+enclosures.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .norms import (
     NormKey,
     Status,
+    best_k,
     lambda4_zero,
     lambda_power,
     lambda_sup,
     stein_tomas_exponent,
-    upper_bound_U,
 )
 from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig
 
@@ -31,12 +31,10 @@ __all__ = [
     "verify_sup_monotone",
     "verify_p4",
     "verify_pst",
-    "find_domination_degree",
 ]
 
 # a sup-norm gap must exceed this fraction of the larger value's upper end
 _SUP_GAP_FLOOR = 1e-9
-_DOMINATION_SCAN = 50
 
 
 class ClaimId(str, Enum):
@@ -82,30 +80,6 @@ def verify_sup_monotone(d: int, K: int) -> VerificationRecord:
     return record
 
 
-def find_domination_degree(d: int, p: float, threshold: float, k_start: int = 2) -> int:
-    """Smallest degree k >= k_start from which U(d, p, k) < threshold.
-
-    U is decreasing in k, so the first such degree settles all larger ones.
-    """
-    k = k_start
-    while upper_bound_U(d, p, k) >= threshold:
-        k += 1
-        if k > 200:
-            raise RuntimeError(f"no domination degree below 200 for d={d}, p={p}")
-    return k
-
-
-def _check_u_decreasing(d: int, p: float, k_from: int, record: VerificationRecord) -> None:
-    prev = upper_bound_U(d, p, k_from)
-    for k in range(k_from + 1, k_from + _DOMINATION_SCAN + 1):
-        cur = upper_bound_U(d, p, k)
-        if cur >= prev:
-            record.status = Status.FAIL
-            record.notes.append(f"U not decreasing at k={k}")
-            return
-        prev = cur
-
-
 def _require_strict(record: VerificationRecord, smaller_upper: float, larger_lower: float, what: str) -> None:
     if smaller_upper < larger_lower:
         return
@@ -116,28 +90,23 @@ def _require_strict(record: VerificationRecord, smaller_upper: float, larger_low
 def _degree_one_dominates(
     record: VerificationRecord, R1: float, p_name: str, power_name: str, cfg: QuadConfig
 ) -> Enclosure:
-    """The shared two-phase body: degree one against every degree k >= 2.
-
-    (a) the degree-one power from [0, R1] plus tail, whose lower end is the
-    bar; (b) the first degree the decreasing U bound settles, and a check
-    that U keeps decreasing; (c) explicit degrees below it on [0, 200] plus
-    tail.  Returns the degree-one enclosure for the degree-zero step.
+    """Degree one against every degree k >= 2, through norms.best_k: the
+    degree-one power on [0, R1] plus tail, the first degree U settles, and the
+    degrees below it on [0, 200] plus tail.  Returns the degree-one enclosure
+    for the degree-zero step.
     """
     d, p = record.params["d"], record.params["p"]
-    power1 = lambda_power(NormKey(d, p, 1), R=R1, cfg=cfg)
-    record.add(f"degree-1 {power_name} on [0,{R1:g}] + tail", power1)
-
-    k_dom = find_domination_degree(d, p, power1.lower)
-    record.k_dominated_from = k_dom
-    record.k_explicit = k_dom - 1
-    record.add(f"U(d,{p_name},{k_dom})", upper_bound_U(d, p, k_dom))
-    _check_u_decreasing(d, p, k_dom, record)
-
-    for k in range(2, k_dom):
-        enc_k = lambda_power(NormKey(d, p, k), R=200.0, cfg=cfg)
-        record.add(f"degree-{k} {power_name} on [0,200] + tail", enc_k)
-        _require_strict(record, enc_k.upper, power1.lower, f"degree {k} vs degree 1")
-    return power1
+    result = best_k(d, p, 1, R1, 200.0, cfg)
+    record.add(f"degree-1 {power_name} on [0,{R1:g}] + tail", result.top_power)
+    record.k_dominated_from = result.dominated_from
+    record.k_explicit = result.dominated_from - 1
+    record.add(f"U(d,{p_name},{result.dominated_from})", result.u_dominated)
+    for k, power in result.explicit:
+        record.add(f"degree-{k} {power_name} on [0,200] + tail", power)
+    if result.status is not Status.PASS:
+        record.status = result.status
+        record.notes.extend(result.notes)
+    return result.top_power
 
 
 def verify_p4(d: int, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> VerificationRecord:

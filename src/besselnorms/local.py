@@ -3,13 +3,18 @@ Hölder chain bounding them by the degree-zero power, and the positivity of
 the quadratic-form coefficients in the spherical-harmonic expansion of the
 deficit.
 
+Both checks first certify, through norms.best_k with top degree zero, that
+degree zero has the largest norm: L0 > Lk for every k >= 1.  Hölder then
+gives M(k) <= L0^(p-2) Lk^2 < L0^p for every k >= 1, which keeps both
+coefficient groups positive in every degree; the explicit M(k) are
+witnesses.
+
 The common (2 pi)^(p d / 2) prefactor cancels in every comparison made
 here, so all quantities are the normalized radial integrals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import store
@@ -21,7 +26,6 @@ from .norms import (
     default_radius,
     lambda_finite,
     lambda_power,
-    lambda_sup_zero_closed,
 )
 from .quadrature import (
     DEFAULT_QUAD_CONFIG,
@@ -37,10 +41,7 @@ __all__ = [
     "deficit_coefficients",
     "verify_holder_chain",
     "verify_second_order_positivity",
-    "extension_constant",
 ]
-
-_BEST_K_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,22 @@ def deficit_coefficients(
     )
 
 
-def _argmax_zero_certified(d: int, p: float, cfg: QuadConfig) -> bool:
-    result = best_k(d, p, _BEST_K_DEPTH, cfg=cfg)
-    return result.status is Status.PASS and result.argmax_k == 0
+def _degree_zero_dominates(record: VerificationRecord, R: float | None, cfg: QuadConfig) -> bool:
+    """Certify L0 > Lk for every k >= 1 (norms.best_k with top degree zero),
+    recording the split; on failure the record turns INCONCLUSIVE."""
+    d, p = record.params["d"], record.params["p"]
+    result = best_k(d, p, 0, R, R, cfg)
+    record.k_dominated_from = result.dominated_from
+    if result.status is not Status.PASS:
+        record.status = Status.INCONCLUSIVE
+        record.notes.append("hypothesis not certified: argmax over degrees is not settled at 0")
+        record.notes.extend(result.notes)
+        return False
+    record.notes.append("hypothesis certified: degree 0 maximizes the norm")
+    k_dom = result.dominated_from
+    explicit = ", explicit enclosures below it" if k_dom > 1 else ""
+    record.notes.append(f"degree 0 dominates every k >= 1: the decreasing U bound from k={k_dom} on{explicit}")
+    return True
 
 
 def verify_holder_chain(
@@ -105,11 +119,8 @@ def verify_holder_chain(
     record = VerificationRecord(
         claim_id=ClaimId.HOLDER_CHAIN, params={"d": d, "p": p, "k": k}, status=Status.PASS
     )
-    if not _argmax_zero_certified(d, p, cfg):
-        record.status = Status.INCONCLUSIVE
-        record.notes.append("hypothesis not certified: argmax over degrees is not settled at 0")
+    if not _degree_zero_dominates(record, R, cfg):
         return record
-    record.notes.append("hypothesis certified: degree 0 maximizes the norm")
 
     m = cross_norm(d, p, k, R, cfg)
     lam0 = lambda_finite(NormKey(d, p, 0), R, cfg).enclosure
@@ -147,12 +158,13 @@ def verify_second_order_positivity(
         status=Status.PASS,
         k_explicit=K,
     )
-    if not _argmax_zero_certified(d, p, cfg):
-        record.status = Status.INCONCLUSIVE
-        record.notes.append("hypothesis not certified: argmax over degrees is not settled at 0")
+    if not _degree_zero_dominates(record, R, cfg):
         return record
-    record.notes.append("hypothesis certified: degree 0 maximizes the norm")
     record.notes.append("first-order vanishing assumed (constants are critical points)")
+    record.notes.append(
+        "Holder: M(k) <= L0^(p-2) Lk^2 < L0^p for every k >= 1, so both coefficient "
+        "groups are positive in every degree; the explicit k <= K are witnesses"
+    )
 
     for k in range(1, K + 1):
         coeffs = deficit_coefficients(d, p, k, R, cfg)
@@ -163,13 +175,3 @@ def verify_second_order_positivity(
                 f"k={k}: modulus group {coeffs.modulus_group}, combined group {coeffs.combined_group}"
             )
     return record
-
-
-def extension_constant(
-    d: int, p: float, R: float | None = None, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> Enclosure:
-    """The sharp-candidate constant (2 pi)^(d/2) times the degree-zero norm."""
-    factor = (2.0 * math.pi) ** (d / 2.0)
-    if math.isinf(p):
-        return Enclosure.point(lambda_sup_zero_closed(d)).scaled(factor)
-    return lambda_finite(NormKey(d, p, 0), R, cfg).enclosure.scaled(factor)

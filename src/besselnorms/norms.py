@@ -1,6 +1,7 @@
 """The named weighted-norm quantities: finite-p norms with enclosures, the
 sup norms, closed forms, the Gamma-function upper bound U, the lower bound
-on the degree-zero norm, and the argmax-over-degree search.
+on the degree-zero norm, and the certificate that one degree dominates all
+higher ones.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ INFINITY = math.inf
 class Method(str, Enum):
     QUADRATURE_TAIL = "QUADRATURE_TAIL"
     CLOSED_FORM = "CLOSED_FORM"
-    SUP_SCAN = "SUP_SCAN"
+    CRITICAL_POINT = "CRITICAL_POINT"
 
 
 class Status(str, Enum):
@@ -175,7 +176,7 @@ def lambda_sup(d: int, k: int) -> NormValue:
     value = j_star * r_star ** (1.0 - d / 2.0)
     slack = 1e-11 * value
     enc = Enclosure(value - slack, value + slack, truncation_bound=slack)
-    return NormValue(key=key, enclosure=enc, R_used=r_star, method=Method.SUP_SCAN)
+    return NormValue(key=key, enclosure=enc, R_used=r_star, method=Method.CRITICAL_POINT)
 
 
 def lambda4_zero(d: int) -> float:
@@ -223,7 +224,17 @@ def validity_strip(d: int) -> tuple[float, float]:
 def upper_bound_U(d: int, p: float, k: int) -> float:
     """Gamma-function upper bound for the p-th power of the degree-k norm.
 
-    Decreasing in k; valid on the exponent strip given by validity_strip(d).
+    Valid on the open exponent strip given by validity_strip(d), where it is
+    positive, strictly decreasing in k and tends to 0.  Proof: with
+    lam = p(3d-4)/6 - (3d-1)/3, increasing in p, lam is 0 at the lower strip
+    end (6d-2)/(3d-4) and d+1 at the upper end (12d+4)/(3d-4); so 0 < lam < d+1
+    inside.  Only the factor G(nu+(1-lam)/2) / G(nu+(1+lam)/2),
+    nu = d/2 - 1 + k >= d/2, depends on k; both arguments are positive since
+    nu + (1-lam)/2 > d/2 - d/2 = 0.  Its log has nu-derivative
+    psi(nu+(1-lam)/2) - psi(nu+(1+lam)/2) < 0, psi being increasing, and the
+    ratio behaves like nu^(-lam) -> 0.  Hence U(d, p, k_dom) below a bar
+    settles every k >= k_dom (tests/test_properties.py checks the decrease on
+    a grid and the rejected strip ends).
     """
     if k < 1:
         raise SpecfunDomainError(f"need k >= 1, got {k}")
@@ -252,73 +263,53 @@ def lower_bound_L0(d: int, p: float) -> float:
 
 @dataclass
 class BestKResult:
+    """One degree against every higher degree: the enclosure of its p-th
+    power, the first degree the U bound settles, the U value there, and the
+    explicit enclosures (k, power) of the degrees strictly between."""
+
     d: int
     p: float
-    K_explicit: int
-    argmax_k: int
-    status: Status
-    margins: list = field(default_factory=list)
-    dominated_from: int | None = None
+    top_power: Enclosure
+    dominated_from: int
+    u_dominated: float
+    status: Status = Status.PASS
+    explicit: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
 
 def best_k(
     d: int,
     p: float,
-    K_explicit: int,
+    top: int,
+    R_top: float | None = None,
     R: float | None = None,
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
 ) -> BestKResult:
-    """Locate the degree maximizing the norm at exponent p.
+    """Certify that degree `top` has the largest norm among all degrees k >= top.
 
-    Explicit enclosures for degrees up to K_explicit; larger degrees are
-    dominated through the decreasing upper bound U.  Overlapping enclosures
-    at the top yield INCONCLUSIVE, never a forced PASS.
+    1. Enclose the p-th power of degree `top` on [0, R_top] plus tail; its
+       lower end is the bar.
+    2. k_dom is the first degree above `top` where U(d, p, k_dom) falls below
+       the bar.  U strictly decreases in k and tends to 0 (see upper_bound_U),
+       so this settles every k >= k_dom at once.
+    3. Enclose each degree strictly between on [0, R] plus tail; an upper end
+       not strictly below the bar gives INCONCLUSIVE, never a forced PASS.
     """
-    if math.isinf(p):
-        values = [lambda_sup(d, k) for k in range(K_explicit + 1)]
-        encs = [v.enclosure for v in values]
-        notes = ["degrees beyond K dominated by the proven strict decrease of the sup norm"]
-        dominated_from = K_explicit + 1
-    else:
-        lo_strip, hi_strip = validity_strip(d)
-        if not lo_strip < p < hi_strip:
-            raise SpecfunDomainError(
-                f"best_k needs p inside the U-bound strip ({lo_strip}, {hi_strip}) or p=inf"
-            )
-        encs = [lambda_power(NormKey(d, p, k), R, cfg) for k in range(K_explicit + 1)]
-        notes = []
-        dominated_from = None
-
-    best_idx = max(range(len(encs)), key=lambda i: encs[i].lower)
-    best_enc = encs[best_idx]
-    margins = []
-    status = Status.PASS
-    for k, enc in enumerate(encs):
-        if k == best_idx:
-            margins.append(0.0)
-            continue
-        margins.append(best_enc.lower - enc.upper)
-        if enc.upper >= best_enc.lower:
-            status = Status.INCONCLUSIVE
-
-    if not math.isinf(p):
-        # U is decreasing in k, so beating it at K_explicit+1 settles all larger k
-        u_next = upper_bound_U(d, p, K_explicit + 1)
-        if u_next < best_enc.lower:
-            dominated_from = K_explicit + 1
-            notes.append(f"U(d,p,{K_explicit+1}) = {u_next} < best explicit lower {best_enc.lower}")
-        else:
-            status = Status.INCONCLUSIVE
-            notes.append(f"U(d,p,{K_explicit+1}) = {u_next} does not fall below {best_enc.lower}")
-
-    return BestKResult(
-        d=d,
-        p=p,
-        K_explicit=K_explicit,
-        argmax_k=best_idx,
-        status=status,
-        margins=margins,
-        dominated_from=dominated_from,
-        notes=notes,
-    )
+    lo_strip, hi_strip = validity_strip(d)
+    if not lo_strip < p < hi_strip:
+        raise SpecfunDomainError(f"best_k needs p inside the U-bound strip ({lo_strip}, {hi_strip})")
+    top_power = lambda_power(NormKey(d, p, top), R_top, cfg)
+    bar = top_power.lower
+    k_dom = top + 1
+    while (u_dom := upper_bound_U(d, p, k_dom)) >= bar:
+        k_dom += 1
+        if k_dom > top + 200:
+            raise RuntimeError(f"no domination degree within 200 of {top} for d={d}, p={p}")
+    result = BestKResult(d=d, p=p, top_power=top_power, dominated_from=k_dom, u_dominated=u_dom)
+    for k in range(top + 1, k_dom):
+        power = lambda_power(NormKey(d, p, k), R, cfg)
+        result.explicit.append((k, power))
+        if not power.upper < bar:
+            result.status = Status.INCONCLUSIVE
+            result.notes.append(f"degree {k} vs degree {top}: {power.upper} not strictly below {bar}")
+    return result

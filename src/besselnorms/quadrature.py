@@ -13,6 +13,7 @@ is large, and each panel is evaluated once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -179,6 +180,15 @@ def cross_term_integrand(d: int, p: float, k: int) -> Callable[[np.ndarray], np.
     return f
 
 
+@functools.cache
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights of order n on [-1, 1]."""
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def panel_integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -202,8 +212,8 @@ def panel_integrate(
     n0 = max(1, math.ceil((b - a) / cfg.panel_length))
     breakpoints = np.asarray(breakpoints, dtype=float)
     edges = np.union1d(np.linspace(a, b, n0 + 1), breakpoints[(breakpoints > a) & (breakpoints < b)])
-    xh, wh = leggauss(cfg.gauss_order_high)
-    xl, wl = leggauss(cfg.gauss_order_low)
+    xh, wh = _gauss_rule(cfg.gauss_order_high)
+    xl, wl = _gauss_rule(cfg.gauss_order_low)
 
     def evaluate(panels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         half = 0.5 * (panels[:, 1] - panels[:, 0])
@@ -292,7 +302,9 @@ def tail_bound(d: int, p: float, k: int, R: float) -> float:
     """Upper bound on the weighted power integral over [R, infinity).
 
     Uses |J_nu(r)| <= r^(-1/2), valid for nu >= 1/2 and r >= 1.5*nu; hence
-    requires the order d/2 - 1 + k to be at least 1/2 and R >= 1.5*nu.
+    requires the order d/2 - 1 + k to be at least 1/2 and R >= 1.5*nu.  The
+    premise is checked, for every admitted order, by
+    tests/test_quadrature.py::TestTailBounds::test_premise_sqrt_r_j_at_most_one.
     """
     nu = d / 2.0 - 1.0 + k
     if 2 * nu < 1:
@@ -326,6 +338,8 @@ def cross_tail_bound(d: int, p: float, k: int, R: float) -> float:
 
     Applies |J| <= r^(-1/2) to both factors; same decay as tail_bound.  For
     d = 2 the degree-zero factor uses the sqrt(2/(pi r)) envelope instead.
+    The premise is that of tail_bound, checked by
+    tests/test_quadrature.py::TestTailBounds::test_premise_sqrt_r_j_at_most_one.
     """
     nu_high = d / 2.0 - 1.0 + k
     if R < 1.5 * max(nu_high, 1.0):

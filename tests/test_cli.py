@@ -58,6 +58,7 @@ class TestNormCommand:
         entry = report["entries"][0]
         assert float(entry["value_lower"]) == pytest.approx(0.581865, abs=5e-7)
         assert entry["params"]["p"] == "inf"
+        assert entry["method"] == "CRITICAL_POINT"
 
     def test_inadmissible_exponent_exits_2(self, capsys, cache_file):
         code, _ = run(capsys, "norm", "--d", "2", "--p", "3", "--k", "0", "--cache", cache_file)
@@ -109,6 +110,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert report["entries"][0]["id"] == "SECOND_ORDER_POSITIVITY"
+        assert report["entries"][0]["k_dominated_from"] == 1
 
     def test_bad_dimension_exits_2(self, capsys, cache_file):
         code, _ = run(capsys, "verify", "p4", "--d", "2", "--cache", cache_file)

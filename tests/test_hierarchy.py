@@ -1,14 +1,15 @@
 import pytest
 
+import besselnorms.norms as norms
 from besselnorms.hierarchy import (
     ClaimId,
     VerificationRecord,
-    find_domination_degree,
     verify_p4,
     verify_pst,
     verify_sup_monotone,
 )
-from besselnorms.norms import Status, upper_bound_U
+from besselnorms.norms import Status, best_k, upper_bound_U
+from besselnorms.quadrature import Enclosure
 
 # first degree settled by the decreasing U bound, per dimension
 P4_DOMINATION_SPLIT = {3: 5, 4: 3, 5: 2, 6: 2, 7: 2, 8: 2, 9: 3, 10: 3}
@@ -39,13 +40,17 @@ class TestSupMonotone:
 
 class TestDominationDegree:
     def test_settles_where_u_crosses(self):
-        threshold = 0.1447
-        k = find_domination_degree(3, 4.0, threshold)
-        assert upper_bound_U(3, 4.0, k) < threshold <= upper_bound_U(3, 4.0, k - 1)
+        result = best_k(3, 4.0, 1, 40.0, 200.0)
+        bar = result.top_power.lower
+        k = result.dominated_from
+        assert upper_bound_U(3, 4.0, k) < bar <= upper_bound_U(3, 4.0, k - 1)
+        assert k == P4_DOMINATION_SPLIT[3]
 
-    def test_unreachable_threshold(self):
+    def test_unreachable_threshold(self, monkeypatch):
+        # a bar far below every U within 200 degrees
+        monkeypatch.setattr(norms, "lambda_power", lambda *a, **kw: Enclosure.point(1e-300))
         with pytest.raises(RuntimeError):
-            find_domination_degree(3, 4.0, 0.0)
+            best_k(3, 4.0, 1)
 
 
 class TestP4Hierarchy:
@@ -58,8 +63,14 @@ class TestP4Hierarchy:
     def test_records_all_intermediate_degrees(self):
         record = verify_p4(3)
         labels = [desc for desc, _ in record.witnesses]
-        for k in (2, 3, 4):
-            assert any(f"degree-{k} " in label for label in labels)
+        assert labels == [
+            "degree-1 fourth power on [0,40] + tail",
+            "U(d,4,5)",
+            "degree-2 fourth power on [0,200] + tail",
+            "degree-3 fourth power on [0,200] + tail",
+            "degree-4 fourth power on [0,200] + tail",
+            "degree-0 fourth power (closed form)",
+        ]
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,15 @@
-import math
-
 import pytest
 
 import besselnorms.local as local
+import besselnorms.norms as norms
 from besselnorms.local import (
     DeficitCoefficients,
     cross_norm,
     deficit_coefficients,
-    extension_constant,
     verify_holder_chain,
     verify_second_order_positivity,
 )
-from besselnorms.norms import INFINITY, NormKey, Status, lambda_power
+from besselnorms.norms import NormKey, Status, lambda_power
 from besselnorms.quadrature import Enclosure
 
 from oracles import simpson_cross_term
@@ -20,6 +18,24 @@ from oracles import simpson_cross_term
 M_2_6_2_R200 = 0.036540256563061195
 M_3_4_1_R200 = 0.10584969743003066
 M_3_4_3_R200 = 0.04521906033841137
+
+# first degree the U bound settles against the degree-zero power, default R
+LOCAL_DOMINATION_SPLIT = {(2, 6.0): 3, (3, 4.0): 1, (4, 10.0 / 3.0): 1, (5, 3.0): 1}
+
+
+@pytest.fixture()
+def degree_one_overlaps_zero(monkeypatch):
+    """Widen the degree-one power at (2, 6), an explicit degree there, past
+    the lower end of the degree-zero power."""
+    original = norms.lambda_power
+
+    def widened(key, R=None, cfg=norms.DEFAULT_QUAD_CONFIG):
+        enc = original(key, R, cfg)
+        if key.k == 1:
+            return enc.with_tail(original(NormKey(key.d, key.p, 0), R, cfg).lower)
+        return enc
+
+    monkeypatch.setattr(norms, "lambda_power", widened)
 
 
 class TestCrossNorm:
@@ -91,11 +107,13 @@ class TestHolderChain:
         assert m.upper < product.lower
         assert product.upper < power.lower
 
-    def test_inconclusive_without_argmax_hypothesis(self, monkeypatch):
-        monkeypatch.setattr(local, "_argmax_zero_certified", lambda *a: False)
-        record = verify_holder_chain(3, 4.0, 1)
+    @pytest.mark.usefixtures("degree_one_overlaps_zero")
+    def test_inconclusive_without_argmax_hypothesis(self):
+        record = verify_holder_chain(2, 6.0, 3)
         assert record.status is Status.INCONCLUSIVE
         assert any("not settled" in note for note in record.notes)
+        assert any(note.startswith("degree 1 vs degree 0") for note in record.notes)
+        assert record.witnesses == []
 
 
 class TestSecondOrderPositivity:
@@ -109,22 +127,17 @@ class TestSecondOrderPositivity:
         record = verify_second_order_positivity(3, 4.0, K=1)
         assert any("first-order vanishing assumed" in note.lower() for note in record.notes)
 
-    def test_inconclusive_without_argmax_hypothesis(self, monkeypatch):
-        monkeypatch.setattr(local, "_argmax_zero_certified", lambda *a: False)
-        record = verify_second_order_positivity(3, 4.0, K=2)
+    @pytest.mark.usefixtures("degree_one_overlaps_zero")
+    def test_inconclusive_without_argmax_hypothesis(self):
+        record = verify_second_order_positivity(2, 6.0, K=2)
         assert record.status is Status.INCONCLUSIVE
+        assert record.k_dominated_from == 3
+        assert not any(note.startswith("Holder") for note in record.notes)
 
-
-class TestExtensionConstant:
-    def test_sup_d2(self):
-        enc = extension_constant(2, INFINITY)
-        assert enc.midpoint == pytest.approx(2.0 * math.pi, rel=1e-13)
-
-    def test_sup_d4(self):
-        enc = extension_constant(4, INFINITY)
-        assert enc.midpoint == pytest.approx((2.0 * math.pi) ** 2 * 0.5, rel=1e-13)
-
-    def test_d3_p4_contains_closed_form(self):
-        enc = extension_constant(3, 4.0)
-        target = (2.0 * math.pi) ** 1.5 * (1.0 / math.pi) ** 0.25
-        assert enc.lower <= target <= enc.upper
+    @pytest.mark.parametrize("pair", list(LOCAL_DOMINATION_SPLIT))
+    def test_every_degree_settled(self, pair):
+        d, p = pair
+        record = verify_second_order_positivity(d, p, K=1)
+        assert record.status is Status.PASS
+        assert record.k_dominated_from == LOCAL_DOMINATION_SPLIT[pair]
+        assert any("positive in every degree" in note for note in record.notes)

@@ -272,18 +272,19 @@ class TestLowerBoundL0:
 
 class TestBestK:
     def test_finite_p_degree_zero_wins(self):
-        result = best_k(3, 4.0, 4)
+        result = best_k(2, 6.0, 0)
         assert isinstance(result, BestKResult)
         assert result.status is Status.PASS
-        assert result.argmax_k == 0
-        assert result.dominated_from == 5
-        assert all(m > 0 for i, m in enumerate(result.margins) if i != 0)
+        assert result.dominated_from == 3
+        assert result.top_power == lambda_power(NormKey(2, 6.0, 0))
+        assert [k for k, _ in result.explicit] == [1, 2]
+        assert all(power.upper < result.top_power.lower for _, power in result.explicit)
+        assert result.u_dominated == upper_bound_U(2, 6.0, 3) < result.top_power.lower
 
-    def test_sup_path(self):
-        result = best_k(3, INFINITY, 3)
-        assert result.status is Status.PASS
-        assert result.argmax_k == 0
-        assert result.dominated_from == 4
+    def test_sup_exponent_rejected(self):
+        # the sup norms are ordered by verify sup-monotone, degree by degree
+        with pytest.raises(SpecfunDomainError):
+            best_k(3, INFINITY, 0)
 
     def test_outside_strip_rejected(self):
         with pytest.raises(SpecfunDomainError):

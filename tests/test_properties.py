@@ -14,6 +14,7 @@ from scipy.special import jv
 from besselnorms.golden import matches_6sf, round_sig
 from besselnorms.norms import NormKey, lambda_power, validity_strip, upper_bound_U
 from besselnorms.quadrature import Enclosure, tail_bound, zero_order_tail_bound
+from besselnorms.specfun import SpecfunDomainError
 
 from oracles import simpson_weighted_power
 
@@ -42,6 +43,25 @@ def test_upper_bound_u_decreasing_in_degree(d, k, data):
     lo, hi = validity_strip(d)
     p = data.draw(st.floats(min_value=lo * 1.001 + 1e-9, max_value=hi * 0.999))
     assert upper_bound_U(d, p, k + 1) < upper_bound_U(d, p, k)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_upper_bound_u_strictly_decreasing_on_a_grid(d):
+    # the proof in upper_bound_U's docstring, checked over the whole strip
+    lo, hi = validity_strip(d)
+    for t in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
+        p = lo + t * (hi - lo)
+        values = [upper_bound_U(d, p, k) for k in range(1, 202)]
+        assert all(b < a for a, b in zip(values, values[1:])), (d, p)
+        assert values[-1] > 0.0
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_upper_bound_u_rejects_strip_ends(d):
+    # lam = 0 at the lower end and lam = d + 1 at the upper end
+    for p in validity_strip(d):
+        with pytest.raises(SpecfunDomainError):
+            upper_bound_U(d, p, 1)
 
 
 @given(

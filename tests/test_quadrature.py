@@ -21,7 +21,14 @@ from besselnorms.quadrature import (
     weighted_power_integrand,
     zero_order_tail_bound,
 )
-from besselnorms.specfun import BesselOrder, SpecfunDomainError, bessel_zeros
+from besselnorms.specfun import (
+    MAX_ARGUMENT,
+    MAX_TWICE_NU,
+    BesselOrder,
+    SpecfunDomainError,
+    bessel_j,
+    bessel_zeros,
+)
 
 from oracles import simpson_weighted_power
 
@@ -286,6 +293,26 @@ class TestTailBounds:
         assert cross_tail_bound(2, 6.0, 0, 200.0) == zero_order_tail_bound(6.0, 200.0)
         with pytest.raises(SpecfunDomainError):
             cross_tail_bound(3, 4.0, 10, 10.0)
+
+    def test_premise_sqrt_r_j_at_most_one(self):
+        """sqrt(r) |J_nu(r)| <= 1 on r >= 1.5 nu for every admitted 1 <= 2 nu <= 120.
+
+        u = sqrt(r) J_nu solves u'' = -(1 - (nu^2 - 1/4) / r^2) u, and the
+        bracket lies in (0, 1] for r >= 1.5 nu, so |u''| <= max |u| there and a
+        grid of step h sees the maximum to within a factor 1 - h^2/8.  Beyond
+        MAX_ARGUMENT the maxima of |u| decrease, since the bracket increases in
+        r (Sonine-Polya; Watson, Treatise, 15.31).
+        """
+        h = 0.5
+        for twice_nu in range(1, MAX_TWICE_NU + 1):
+            order = BesselOrder(twice_nu)
+            start = 1.5 * order.nu
+            r = np.linspace(start, MAX_ARGUMENT, math.ceil((MAX_ARGUMENT - start) / h) + 1)
+            u = np.sqrt(r) * np.abs(bessel_j(order, r))
+            i = int(np.argmax(u))
+            exact = float(mpmath.sqrt(r[i]) * abs(mpmath.besselj(order.nu, r[i])))
+            assert u[i] == pytest.approx(exact, rel=1e-12), twice_nu
+            assert exact / (1.0 - h * h / 8.0) < 1.0, twice_nu
 
 
 class TestKinkedExponents:
