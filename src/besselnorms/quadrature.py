@@ -1,14 +1,17 @@
-"""Panel-based Gauss-Legendre integration of weighted Bessel integrands on
-[0, R], with analytic tail bounds on [R, infinity).
+"""Panel-based Gaussian integration of weighted Bessel integrands on [0, R],
+with analytic tail bounds on [R, infinity).
 
 Each integral is reported as an Enclosure: a truncated value bracketed by a
 summed per-panel error estimate (difference of two Gauss orders), plus a
-separately tracked tail contribution.  The starting panels are at most a
-fraction of the Bessel oscillation period wide; where the exponent on |J_nu|
-is not an even integer, the zeros of J_nu in (0, R) are panel edges too, so
-the kink of |J_nu|^p there is an endpoint of a panel rather than an interior
-point that the error estimate can miss.  Panels are halved where the estimate
-is large, and each panel is evaluated once.
+separately tracked tail contribution.  Where the exponent on |J_nu| is even,
+the integrand is smooth and the starting panels are equal steps no wider than
+a fraction of the Bessel oscillation period, integrated by Gauss-Legendre.
+Where it is not, the integrand behaves like |r - z|^alpha at each zero z of
+J_nu, so the starting panels run from zero to zero and a panel end at a zero
+carries the Gauss-Jacobi weight (1 -+ x)^alpha: the rule then takes that
+endpoint behaviour exactly and integrates an analytic factor.  Panels are
+halved where the estimate is large, and each panel is evaluated once.  The
+error stays an estimate, |high-order - low-order|, not a proven bound.
 """
 
 from __future__ import annotations
@@ -189,18 +192,88 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.cache
+def _jacobi_rule(n: int, left: float, right: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Jacobi nodes and weights of order n on [-1, 1] for the
+    weight (1 + x)^left (1 - x)^right, left, right >= 0.
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the recurrence, polished by one
+    Newton step on the orthonormal polynomial q_n; each weight is
+    mu_0 / sum_j q_j(x)^2 over j < n, a sum of positive terms that keeps the
+    small weights near the ends accurate to about 2e-14 relative.
+    Gauss-Legendre, left = right = 0, comes from _gauss_rule, so that smooth
+    integrands see no change.
+    """
+    if left == right == 0.0:
+        return _gauss_rule(n)
+    a, b = right, left
+    j = np.arange(n + 1, dtype=float)
+    s = 2.0 * j + a + b
+    diag = (b * b - a * a) / (s * (s + 2.0))
+    j, s = j[1:], s[1:]
+    # off[i] couples q_i and q_(i+1); off[-1] = 0 stands for q_(-1) = 0
+    off = np.append(np.sqrt(4.0 * j * (j + a) * (j + b) * (j + a + b) / (s * s * (s + 1.0) * (s - 1.0))), 0.0)
+
+    def orthonormal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """q_n(x), q_n'(x) and sum_{j<n} q_j(x)^2."""
+        q_prev, q, dq_prev, dq = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+        total = np.zeros(n)
+        for i in range(n):
+            total += q * q
+            q_next = ((x - diag[i]) * q - off[i - 1] * q_prev) / off[i]
+            dq_next = (q + (x - diag[i]) * dq - off[i - 1] * dq_prev) / off[i]
+            q_prev, q, dq_prev, dq = q, q_next, dq, dq_next
+        return q, dq, total
+
+    nodes = np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[: n - 1], 1) + np.diag(off[: n - 1], -1))
+    q, dq, _ = orthonormal(nodes)
+    nodes = nodes - q / dq
+    mu0 = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+    weights = mu0 / orthonormal(nodes)[2]
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.cache
+def _panel_rules(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Order-n nodes and weights per panel end code, as read-only (4, n) arrays.
+
+    Code 2*left + right flags the panel ends at a zero, where the integrand
+    behaves like |r - z|^alpha.  Row c is the Gauss-Jacobi rule for that
+    weight with its weights divided by the weight at the nodes, so that
+    sum_i w_i f(x_i) applies the rule to f / weight; row 0 is Gauss-Legendre.
+    """
+    nodes, weights = [], []
+    for left, right in ((0.0, 0.0), (0.0, alpha), (alpha, 0.0), (alpha, alpha)):
+        x, w = _jacobi_rule(n, left, right)
+        nodes.append(x)
+        weights.append(w / ((1.0 + x) ** left * (1.0 - x) ** right))
+    nodes, weights = np.array(nodes), np.array(weights)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def panel_integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-    breakpoints: Sequence[float] = (),
+    zeros: Sequence[float] = (),
+    alpha: float = 0.0,
 ) -> tuple[float, float]:
     """Integrate f on [a, b]; returns (value, error estimate).
 
-    The starting edges are equal steps no wider than cfg.panel_length plus
-    every breakpoint inside (a, b), where f may have a kink (the known
-    breakpoints of QUADPACK's QAGP).  Per-panel error is |high-order -
+    Without zeros inside (a, b), the starting edges are equal steps no wider
+    than cfg.panel_length and every panel takes Gauss-Legendre.  With them,
+    f is taken to behave like |r - z|^alpha times an analytic factor at each
+    zero z: the starting panels run from zero to zero (plus a and b), and a
+    panel end at a zero takes the Gauss-Jacobi weight (1 + x)^alpha or
+    (1 - x)^alpha, so the rule integrates f divided by that weight.  A halved
+    panel hands each end's exponent to the child that keeps that end, with 0
+    at the new midpoint.  Per-panel error is the estimate |high-order -
     low-order|; panels above their share of the budget are halved, up to
     cfg.max_refinements rounds.  Each panel is evaluated once, in the round
     that creates it: a round calls f on the new children only, at the
@@ -209,21 +282,27 @@ def panel_integrate(
     """
     if b <= a:
         raise ValueError(f"empty interval [{a}, {b}]")
-    n0 = max(1, math.ceil((b - a) / cfg.panel_length))
-    breakpoints = np.asarray(breakpoints, dtype=float)
-    edges = np.union1d(np.linspace(a, b, n0 + 1), breakpoints[(breakpoints > a) & (breakpoints < b)])
-    xh, wh = _gauss_rule(cfg.gauss_order_high)
-    xl, wl = _gauss_rule(cfg.gauss_order_low)
+    zeros = np.asarray(zeros, dtype=float)
+    zeros = np.unique(zeros[(zeros > a) & (zeros < b)])
+    if zeros.size:
+        edges = np.concatenate([[a], zeros, [b]])
+        codes = np.full(zeros.size + 1, 3)
+        codes[0], codes[-1] = 1, 2
+    else:
+        edges = np.linspace(a, b, max(1, math.ceil((b - a) / cfg.panel_length)) + 1)
+        codes = np.zeros(edges.size - 1, dtype=int)
+    xh, wh = _panel_rules(cfg.gauss_order_high, alpha)
+    xl, wl = _panel_rules(cfg.gauss_order_low, alpha)
 
-    def evaluate(panels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(panels: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         half = 0.5 * (panels[:, 1] - panels[:, 0])
         mid = 0.5 * (panels[:, 0] + panels[:, 1])
-        hi = (f(mid[:, None] + half[:, None] * xh[None, :]) * wh[None, :]).sum(axis=1) * half
-        lo = (f(mid[:, None] + half[:, None] * xl[None, :]) * wl[None, :]).sum(axis=1) * half
+        hi = (f(mid[:, None] + half[:, None] * xh[codes]) * wh[codes]).sum(axis=1) * half
+        lo = (f(mid[:, None] + half[:, None] * xl[codes]) * wl[codes]).sum(axis=1) * half
         return hi, np.abs(hi - lo)
 
     panels = np.column_stack([edges[:-1], edges[1:]])
-    hi, err = evaluate(panels)
+    hi, err = evaluate(panels, codes)
     for _ in range(cfg.max_refinements):
         if float(err.sum()) <= cfg.abs_tol:
             break
@@ -239,12 +318,14 @@ def panel_integrate(
                 np.column_stack([mids, split[:, 1]]),
             ]
         )
-        child_hi, child_err = evaluate(children)
+        child_codes = np.concatenate([codes[bad] & 2, codes[bad] & 1])
+        child_hi, child_err = evaluate(children, child_codes)
         panels = np.concatenate([panels[~bad], children])
+        codes = np.concatenate([codes[~bad], child_codes])
         hi = np.concatenate([hi[~bad], child_hi])
         err = np.concatenate([err[~bad], child_err])
         order = np.argsort(panels[:, 0])
-        panels, hi, err = panels[order], hi[order], err[order]
+        panels, codes, hi, err = panels[order], codes[order], hi[order], err[order]
 
     value = float(hi.sum())
     total_err = float(err.sum())
@@ -256,14 +337,14 @@ def panel_integrate(
     return value, total_err
 
 
-def _kinks(order: BesselOrder, exponent: float, R: float) -> np.ndarray:
-    """Zeros of J_order in (0, R) where |J_order|^exponent has a kink.
+def _kinks(order: BesselOrder, exponent: float, R: float) -> tuple[np.ndarray, float]:
+    """Zeros of J_order in (0, R) and the exponent of |J_order|^exponent there.
 
-    An even exponent gives a smooth power and no breakpoints.
+    An even exponent gives a smooth power: no zeros, and exponent 0.
     """
     if exponent % 2.0 == 0.0:
-        return np.empty(0)
-    return bessel_zeros(order, R)
+        return np.empty(0), 0.0
+    return bessel_zeros(order, R), exponent
 
 
 def integrate_weighted_power(
@@ -271,11 +352,12 @@ def integrate_weighted_power(
 ) -> Enclosure:
     """Enclosure of the truncated weighted power integral on [0, R].
 
-    Panel edges sit at the zeros of J_{d/2-1+k} unless p is even.
+    Unless p is even, the panels run between the zeros of J_{d/2-1+k}, with
+    end exponent p there.
     """
     _check_weighted_preconditions(d, p, k, R)
-    kinks = _kinks(BesselOrder.from_dim_degree(d, k), p, R)
-    value, err = panel_integrate(weighted_power_integrand(d, p, k), 0.0, R, cfg, kinks)
+    zeros, alpha = _kinks(BesselOrder.from_dim_degree(d, k), p, R)
+    value, err = panel_integrate(weighted_power_integrand(d, p, k), 0.0, R, cfg, zeros, alpha)
     return Enclosure(max(value - err, 0.0), value + err, quad_error_bound=err)
 
 
@@ -284,12 +366,13 @@ def integrate_cross_term(
 ) -> Enclosure:
     """Enclosure of the truncated cross integral on [0, R].
 
-    Panel edges sit at the zeros of J_{d/2-1} unless p - 2 is even; the
-    factor |J_{d/2-1+k}|^2 is smooth and adds none.
+    Unless p - 2 is even, the panels run between the zeros of J_{d/2-1}, with
+    end exponent p - 2 there; the factor |J_{d/2-1+k}|^2 is smooth and adds
+    none.
     """
     _check_weighted_preconditions(d, p, k, R)
-    kinks = _kinks(BesselOrder.from_dim_degree(d, 0), p - 2.0, R)
-    value, err = panel_integrate(cross_term_integrand(d, p, k), 0.0, R, cfg, kinks)
+    zeros, alpha = _kinks(BesselOrder.from_dim_degree(d, 0), p - 2.0, R)
+    value, err = panel_integrate(cross_term_integrand(d, p, k), 0.0, R, cfg, zeros, alpha)
     return Enclosure(max(value - err, 0.0), value + err, quad_error_bound=err)
 
 

@@ -85,8 +85,12 @@ def bessel_j(nu: BesselOrder, r):
 
     The order and the largest argument are checked against MAX_TWICE_NU and
     MAX_ARGUMENT once per call.  A float r gives a float, exact at r = 0
-    (1 for nu = 0, 0 otherwise); elsewhere the value is scipy's jv, which is
-    well within 1e-12 relative for the moderate orders and arguments admitted.
+    (1 for nu = 0, 0 otherwise); elsewhere the value is scipy's jv.  Against
+    30-digit mpmath at 10,000 points drawn uniformly (numpy default_rng(0))
+    from 2 nu in {0, ..., 120} and r in [0, 1000], its absolute error was at
+    most 6.9e-13 min(1, r^(-1/2)), and its relative error at most 4.4e-12
+    where |J_nu(r)| >= 0.1 min(1, r^(-1/2)); both peak at large order and
+    argument (2 nu = 89, r = 974 for the former).
     """
     if nu.twice_nu > MAX_TWICE_NU:
         raise SpecfunDomainError(f"order 2nu={nu.twice_nu} exceeds MAX_TWICE_NU={MAX_TWICE_NU}")

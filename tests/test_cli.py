@@ -228,12 +228,19 @@ class TestCache:
 
     def test_file_from_engine_0_1_0_is_discarded(self, cache_file):
         # 0.1.0 stored the (d=5, p=3) cross integrals without edges at the zeros,
-        # e.g. M(1) on [0, 200] some 6,700 error estimates below its true value
-        stale = ResultCache(cache_file, "0.1.0")
-        stale.data["M(1)"] = [0.10531172276898517, 0.10531172277929292, 0.0, 5.153875483633352e-12]
-        stale.dirty = True
-        stale.save()
-        assert ResultCache(cache_file).data == {}
+        # e.g. M(1) on [0, 200] some 6,700 error estimates below its true value;
+        # 0.2.0 stored every non-even-p enclosure before the Gauss-Jacobi panels,
+        # e.g. the (d=4, p=10/3) M(1) on [0, 200], under the same QuadConfig key
+        stale_files = {
+            "0.1.0": ("M(1)", [0.10531172276898517, 0.10531172277929292, 0.0, 5.153875483633352e-12]),
+            "0.2.0": ("M(1)", [0.1102204273214045, 0.11022042732679069, 0.0, 2.6930935622678456e-12]),
+        }
+        for version, (key, entry) in stale_files.items():
+            stale = ResultCache(cache_file, version)
+            stale.data[key] = entry
+            stale.dirty = True
+            stale.save()
+            assert ResultCache(cache_file).data == {}, version
 
     def test_corrupt_entry_is_dropped(self, capsys, cache_file):
         args = ("norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -32,6 +36,8 @@ from besselnorms.specfun import (
 
 from oracles import simpson_weighted_power
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 # Truncated integrals at (d=5, p=3), where |J_{3/2}|^(p-2) and |J_{d/2-1+k}|^p
 # have kinks at the zeros, frozen from 20-digit mpmath.quad split there:
 #   mp.dps = 20; w = 1 - mpf(5)/2; nu0 = mpf(3)/2
@@ -42,6 +48,41 @@ from oracles import simpson_weighted_power
 #   quad(power, [0] + zeros(nu0 + 2, 50) + [50])
 CROSS_5_3_R200 = {1: 0.10531175757985376, 4: 0.045489211209227405, 8: 0.025736200347072221}
 POWER_5_3_K2_R50 = 0.096552573263792616
+
+# By the same recipe with d = 4 and p = 10/3 as the float the engine uses,
+# mpf(3.3333333333333335): |J_1|^(4/3) has a kink at each zero of J_1.
+CROSS_4_10_3_R200 = {1: 0.1102204273242194807, 4: 0.042166731527753343013, 8: 0.022924014630928997603}
+
+# Every golden PST_TRUNCATED_* entry, keyed by (d, k, R), by the power recipe
+# above at p = mpf(stein_tomas_exponent(d)), split at the zeros of J_{d/2-1+k}.
+PST_TRUNCATED_MPMATH = {
+    (4, 1, 50.0): 0.14339131583231575646,
+    (5, 1, 50.0): 0.13169264255574558381,
+    (6, 1, 50.0): 0.11894058673782427275,
+    (7, 1, 50.0): 0.1071896772064605133,
+    (8, 1, 50.0): 0.096975308237575982739,
+    (9, 1, 50.0): 0.088278981156060820485,
+    (10, 1, 50.0): 0.080794349406219362545,
+    (4, 2, 200.0): 0.10349215258968959088,
+    (4, 3, 200.0): 0.080521972235597050382,
+    (5, 2, 200.0): 0.099806554326949033987,
+    (6, 2, 200.0): 0.09385624794463681161,
+    (7, 2, 200.0): 0.087532220062604257862,
+    (8, 2, 200.0): 0.081490743834460087986,
+    (9, 2, 200.0): 0.075951969688924944257,
+    (10, 2, 200.0): 0.070956898965355110491,
+    (6, 0, 50.0): 0.17320104816059784907,
+    (7, 0, 50.0): 0.14792633177547134693,
+    (8, 0, 50.0): 0.12860001925402097313,
+    (9, 0, 50.0): 0.11333114673844855164,
+    (10, 0, 50.0): 0.10108610146278561955,
+}
+
+# Non-even exponents the engine meets at a zero: p_st(d) for d = 4..10 (10/3,
+# 3, 2.8, 8/3, 18/7, 5/2, 22/9) and their p - 2 values (4/3, 1, 0.8, ...).
+JACOBI_EXPONENTS = sorted(
+    {stein_tomas_exponent(d) for d in range(4, 11)} | {stein_tomas_exponent(d) - 2.0 for d in range(4, 11)}
+)
 
 # even exponents add no panel edges; these enclosures predate the edges at zeros
 EVEN_P_ENCLOSURES = {
@@ -82,11 +123,11 @@ def integrand_calls(monkeypatch):
 
 @pytest.fixture
 def breakpoints_passed(monkeypatch):
-    """Breakpoints handed to panel_integrate; the integral itself is skipped."""
+    """Zeros handed to panel_integrate; the integral itself is skipped."""
     passed = []
 
-    def capture(f, a, b, cfg, breakpoints=()):
-        passed.append(np.asarray(breakpoints, dtype=float))
+    def capture(f, a, b, cfg, zeros=(), alpha=0.0):
+        passed.append(np.asarray(zeros, dtype=float))
         return 0.0, 0.0
 
     monkeypatch.setattr(quadrature, "panel_integrate", capture)
@@ -181,6 +222,31 @@ class TestPanelIntegrate:
         plain = panel_integrate(f, 0.0, 40.0)
         assert panel_integrate(f, 0.0, 40.0, DEFAULT_QUAD_CONFIG, [-1.0, 0.0, 40.0, 41.0]) == plain
 
+    def test_jacobi_panels_take_the_kink_exactly(self):
+        # |sin r|^(4/3) on [pi/2, 5pi/2]: panels [pi/2, pi], [pi, 2pi], [2pi, 5pi/2]
+        # carry the weight at their zero ends, and one round suffices
+        f = lambda r: np.abs(np.sin(r)) ** (4.0 / 3.0)
+        calls = []
+        value, err = panel_integrate(_counting(f, calls), math.pi / 2, 2.5 * math.pi, DEFAULT_QUAD_CONFIG,
+                                     [math.pi, 2 * math.pi], 4.0 / 3.0)
+        exact = 2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(7) / 6) / mpmath.gamma(mpmath.mpf(5) / 3)
+        assert value == pytest.approx(float(exact), rel=1e-14)
+        assert err <= DEFAULT_QUAD_CONFIG.abs_tol
+        assert [c.shape for c in calls] == [(3, 16), (3, 8)]
+
+    def test_halved_panels_keep_their_end_exponents(self):
+        # a fast factor forces halving; the children must keep the zero-end weights
+        f = lambda r: np.abs(np.sin(r)) ** 2.5 * np.exp(np.cos(12.0 * r))
+        calls = []
+        value, err = panel_integrate(_counting(f, calls), math.pi / 2, 2.5 * math.pi, DEFAULT_QUAD_CONFIG,
+                                     [math.pi, 2 * math.pi], 2.5)
+        with mpmath.workdps(20):
+            g = lambda r: abs(mpmath.sin(r)) ** 2.5 * mpmath.exp(mpmath.cos(12 * r))
+            exact = mpmath.quad(g, mpmath.linspace(mpmath.pi / 2, 5 * mpmath.pi / 2, 17))
+        assert len(calls) > 2
+        assert err <= DEFAULT_QUAD_CONFIG.abs_tol
+        assert abs(value - float(exact)) <= err
+
 
 class TestQuadConfig:
     def test_validation(self):
@@ -191,6 +257,100 @@ class TestQuadConfig:
 
     def test_key_distinguishes_profiles(self):
         assert QuadConfig().key() != QuadConfig(abs_tol=1e-8).key()
+
+
+def _jacobi_polynomial(n, a, b, x):
+    """P_n^(a,b)(x) in mpmath by the three-term recurrence (DLMF 18.9.2)."""
+    prev, cur = mpmath.mpf(1), (a + b + 2) / 2 * x + (a - b) / 2
+    for m in range(1, n):
+        s = 2 * m + a + b
+        prev, cur = cur, (
+            (s + 1) * ((s + 2) * s * x + a * a - b * b) * cur - 2 * (m + a) * (m + b) * (s + 2) * prev
+        ) / (2 * (m + 1) * (m + a + b + 1) * s)
+    return cur
+
+
+def _jacobi_rule_mpmath(n, left, right, start):
+    """Gauss-Jacobi rule to 25 digits, a = right, b = left: two Newton steps
+    on P_n from each start node, with P_n' = (n+a+b+1)/2 P_(n-1)^(a+1,b+1)
+    (DLMF 18.9.15), then the closed-form weight
+    2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n! (1-x^2) P_n'(x)^2)."""
+    with mpmath.workdps(25):
+        a, b = mpmath.mpf(right), mpmath.mpf(left)
+        scale = (
+            2 ** (a + b + 1) * mpmath.gamma(n + a + 1) * mpmath.gamma(n + b + 1)
+            / (mpmath.gamma(n + a + b + 1) * mpmath.factorial(n))
+        )
+        nodes, weights = [], []
+        for x in map(mpmath.mpf, start):
+            for _ in range(2):
+                x -= _jacobi_polynomial(n, a, b, x) / ((n + a + b + 1) / 2 * _jacobi_polynomial(n - 1, a + 1, b + 1, x))
+            slope = (n + a + b + 1) / 2 * _jacobi_polynomial(n - 1, a + 1, b + 1, x)
+            nodes.append(float(x))
+            weights.append(float(scale / ((1 - x * x) * slope**2)))
+    return np.array(nodes), np.array(weights)
+
+
+def _end_exponents(alpha):
+    return [(alpha, 0.0), (0.0, alpha), (alpha, alpha)]
+
+
+class TestGaussJacobiRule:
+    """Golub-Welsch rules for the weight (1 + x)^left (1 - x)^right."""
+
+    @pytest.mark.parametrize("alpha", JACOBI_EXPONENTS)
+    def test_matches_scipy(self, alpha):
+        from scipy.special import roots_jacobi
+
+        for n in (8, 16):
+            for left, right in _end_exponents(alpha):
+                nodes, weights = quadrature._jacobi_rule(n, left, right)
+                ref_nodes, ref_weights = roots_jacobi(n, right, left)
+                np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-13)
+                # scipy's own weights are off by up to 2.9e-13 relative (n = 16,
+                # right = 10/3) against _jacobi_rule_mpmath
+                np.testing.assert_allclose(weights, ref_weights, rtol=5e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", JACOBI_EXPONENTS)
+    def test_matches_mpmath(self, alpha):
+        for n in (8, 16):
+            for left, right in _end_exponents(alpha):
+                nodes, weights = quadrature._jacobi_rule(n, left, right)
+                ref_nodes, ref_weights = _jacobi_rule_mpmath(n, left, right, nodes)
+                np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-13)
+                np.testing.assert_allclose(weights, ref_weights, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", JACOBI_EXPONENTS)
+    def test_exact_on_polynomials_of_degree_below_2n(self, alpha):
+        # int (1+x)^a (1-x)^b x^j dx = 2^(a+b+1) sum_i C(j,i) 2^i (-1)^(j-i) B(a+i+1, b+1)
+        for n in (8, 16):
+            for left, right in _end_exponents(alpha):
+                nodes, weights = quadrature._jacobi_rule(n, left, right)
+                with mpmath.workdps(40):
+                    a, b = mpmath.mpf(left), mpmath.mpf(right)
+                    for j in range(2 * n):
+                        moment = 2 ** (a + b + 1) * mpmath.fsum(
+                            mpmath.binomial(j, i) * 2**i * (-1) ** (j - i) * mpmath.beta(a + i + 1, b + 1)
+                            for i in range(j + 1)
+                        )
+                        scale = float(np.sum(weights * np.abs(nodes) ** j))
+                        assert float(np.sum(weights * nodes**j)) == pytest.approx(float(moment), abs=2e-14 * scale)
+
+    def test_legendre_is_unchanged(self):
+        assert quadrature._jacobi_rule(16, 0.0, 0.0) is quadrature._gauss_rule(16)
+
+    def test_cold_cli_leaves_scipy_linalg_unimported(self, tmp_path):
+        # scipy.special.roots_jacobi would import scipy.linalg, tens of ms per process
+        script = (
+            "import sys\n"
+            "from besselnorms.cli import main\n"
+            "code = main(['verify', 'holder-chain', '--d', '4', '--p', '3.3333333333333335', '--k', '1',"
+            f" '--cache', {str(tmp_path / 'c.json')!r}])\n"
+            "print(code, 'scipy.linalg' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 False"
 
 
 class TestIntegrands:
@@ -327,6 +487,23 @@ class TestKinkedExponents:
         enc = integrate_weighted_power(5, 3.0, 2, 50.0)
         assert enc.lower <= POWER_5_3_K2_R50 <= enc.upper
 
+    @pytest.mark.parametrize("k", sorted(CROSS_4_10_3_R200))
+    def test_cross_term_at_p_10_3_encloses_mpmath_value(self, k):
+        enc = integrate_cross_term(4, 10.0 / 3.0, k, 200.0)
+        assert enc.lower <= CROSS_4_10_3_R200[k] <= enc.upper
+
+    def test_every_pst_golden_entry_is_frozen(self):
+        keys = {(d, 1, 50.0) for d in golden.PST_TRUNCATED_50_K1}
+        keys |= {(d, k, 200.0) for d, k in golden.PST_TRUNCATED_200}
+        keys |= {(d, 0, 50.0) for d in golden.PST_TRUNCATED_50_K0}
+        assert keys == set(PST_TRUNCATED_MPMATH)
+
+    @pytest.mark.parametrize("key", sorted(PST_TRUNCATED_MPMATH))
+    def test_pst_truncated_encloses_mpmath_value(self, key):
+        d, k, R = key
+        enc = integrate_weighted_power(d, stein_tomas_exponent(d), k, R)
+        assert enc.lower <= PST_TRUNCATED_MPMATH[key] <= enc.upper
+
     # orders nu = d/2 - 1 + k = 0, 1/2, 1, 3/2, 30 at admissible non-even p
     @pytest.mark.parametrize("d, k, p", [(2, 0, 5.0), (3, 0, 3.5), (4, 0, 10.0 / 3.0), (5, 0, 3.0), (2, 30, 5.0)])
     def test_inserted_edges_are_the_zeros(self, breakpoints_passed, d, k, p):
@@ -372,9 +549,8 @@ class TestNodeCounts:
         high, low = calls[0::2], calls[1::2]
         assert [c.shape[1] for c in high] == [16] * len(high)
         assert [c.shape for c in low] == [(c.shape[0], 8) for c in high]
-        # starting panels: 128 equal steps of at most pi/2 plus the zeros of J_{3/2}
-        start = np.union1d(np.linspace(0.0, 200.0, 129), bessel_zeros(BesselOrder(3), 200.0)).size - 1
-        assert high[0].shape[0] == start
+        # starting panels: from 0 to R through the zeros of J_{3/2}
+        assert high[0].shape[0] == bessel_zeros(BesselOrder(3), 200.0).size + 1
         panels = np.concatenate(high)
         assert len(np.unique(panels, axis=0)) == len(panels)
         assert sum(c.size for c in calls) == 24 * len(panels)
@@ -406,6 +582,10 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_cross_terms_at_p3_are_cheap(self, integrand_calls, k):
+        # (5, 3) and (4, 10/3): |J|^(p-2) is |r - z| and |r - z|^(4/3) at each
+        # zero, taken by the Jacobi weight at the panel ends
         integrate_cross_term(5, 3.0, k, 200.0)
-        (calls,) = integrand_calls
-        assert sum(c.size for c in calls) <= 5000
+        integrate_cross_term(4, 10.0 / 3.0, k, 200.0)
+        at_3, at_10_3 = [sum(c.size for c in calls) for calls in integrand_calls]
+        assert at_3 <= 5000
+        assert at_10_3 <= 3000
