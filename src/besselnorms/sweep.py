@@ -2,12 +2,20 @@
 interpolated upper bound on every positive-degree norm falls below the
 closed-form lower bound on the degree-zero norm.
 
+Both regimes rest on one fact: log ||f||_p is convex in 1/p (Hölder,
+Riesz-Thorin), so the norm at an exponent between two anchors is at most
+n0^(1-t) n1^t, where n0 and n1 bound the anchor norms and
+1/p = (1-t)/p0 + t/p1.  Step 1 interpolates between p0 = 6 (d = 2) or 4 and
+the degree-one sup norm (p1 = inf); step 2, for the middle dimensions,
+between the Stein-Tomas endpoint p_st(d) and p = 4.
+
 All upper bounds use enclosure upper ends and all lower bounds the closed
 form, so a positive margin cannot be an artifact of optimistic rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,13 +30,7 @@ from .norms import (
 )
 from .quadrature import DEFAULT_QUAD_CONFIG, QuadConfig
 
-__all__ = [
-    "Regime",
-    "SweepResult",
-    "sweep_step1",
-    "sweep_step2",
-    "p0_report",
-]
+__all__ = ["Regime", "SweepResult", "p0_report"]
 
 _MARGIN_FLOOR = 1e-8
 # dimensions whose threshold lies below p = 4, so a second sweep on
@@ -76,7 +78,9 @@ def _threshold_from_grid(p_grid, margins) -> float | None:
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
     """start, start +- step, ... towards stop (inclusive within 1e-12), each
-    point rounded to 12 places; step > 0."""
+    point rounded to 12 places; step must be finite and positive."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"need a finite grid step > 0, got {step}")
     descending = stop < start
     grid = []
     n = 0
@@ -88,96 +92,52 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
         n += 1
 
 
-def _anchor(d: int) -> tuple[float, int, float | None, float]:
-    """Exponent, degree, radius (None: the default) and domination constant
-    of the norm the step-1 sweep interpolates from."""
-    if d == 2:
-        # the sixth power at degree zero, with its 1/3 degree-domination constant
-        return 6.0, 0, None, 1.0 / 3.0
-    # the fourth power at degree one, upper estimate on [0, 40] plus tail
-    return 4.0, 1, 40.0, 1.0
-
-
-def sweep_step1(
-    d: int,
-    p_min: float | None = None,
-    p_max: float = _P_LIMIT_SWITCH,
-    step: float = 0.01,
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-) -> SweepResult:
-    """Sweep on [anchor, p_max] interpolating between the anchor norm of
-    _anchor(d) and the degree-one sup norm; p_min defaults to the anchor."""
-    if not 2 <= d <= 10:
-        raise ValueError(f"need 2 <= d <= 10, got {d}")
-    p_anchor, k_anchor, R_anchor, constant = _anchor(d)
-    p_min = p_anchor if p_min is None else p_min
-    if p_min < p_anchor:
-        raise ValueError(f"need p_min >= {p_anchor:g}, got {p_min}")
-    anchor_upper = lambda_power(NormKey(d, p_anchor, k_anchor), R=R_anchor, cfg=cfg).upper
-    sup1_upper = lambda_sup(d, 1).enclosure.upper
-    grid = _grid(p_min, p_max, step)
+def _sweep(d, regime, grid, low, high, limit_margin=None) -> SweepResult:
+    """Margins on grid of the L0 lower bound over the Hölder interpolation
+    between the anchors low = (p0, n0) and high = (p1, n1), norm upper ends;
+    a limit margin at or below the floor voids the threshold."""
+    (p0, n0), (p1, n1) = low, high
+    inv_p0, inv_span = 1.0 / p0, 1.0 / p0 - 1.0 / p1
     margins = []
     for p in grid:
-        upper = constant ** (1.0 / p) * anchor_upper ** (1.0 / p) * sup1_upper ** (1.0 - p_anchor / p)
-        margins.append(lower_bound_L0(d, p) - upper)
-    limit_margin = lambda_sup_zero_closed(d) - sup1_upper
+        t = (inv_p0 - 1.0 / p) / inv_span
+        margins.append(lower_bound_L0(d, p) - n0 ** (1.0 - t) * n1**t)
     threshold = _threshold_from_grid(grid, margins)
-    if limit_margin <= _MARGIN_FLOOR:
+    if limit_margin is not None and limit_margin <= _MARGIN_FLOOR:
         threshold = None
-    return SweepResult(
-        d=d,
-        regime=Regime.D2_SIX_INF if d == 2 else Regime.STEP1_FOUR_INF,
-        p_grid=grid,
-        margins=margins,
-        certified_threshold=threshold,
-        published_threshold=THRESHOLDS[d],
-        limit_margin=limit_margin,
-    )
-
-
-def sweep_step2(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> SweepResult:
-    """Sweep on [p_st(d), 4] interpolating between the endpoint norm and the
-    fourth-power norm, both at degree one with truncated-plus-tail uppers.
-
-    The grid is anchored at p = 4 and descends, so it shares the seam point
-    with the step-1 grid and hits the published thresholds exactly.
-    """
-    if d not in _STEP2_DIMENSIONS:
-        raise ValueError(f"need {_STEP2_DIMENSIONS[0]} <= d <= {_STEP2_DIMENSIONS[-1]}, got {d}")
-    pst = stein_tomas_exponent(d)
-    lam41_upper = lambda_power(NormKey(d, 4.0, 1), R=40.0, cfg=cfg).upper
-    lampst1_upper = lambda_power(NormKey(d, pst, 1), R=50.0, cfg=cfg).upper
-    grid = _grid(4.0, pst, step)
-    if abs(grid[-1] - pst) > 1e-12:
-        grid.append(pst)
-    grid.reverse()
-    margins = []
-    for p in grid:
-        theta = (4.0 / p) * (p - pst) / (4.0 - pst)
-        upper = lampst1_upper ** ((1.0 - theta) / pst) * lam41_upper ** (theta / 4.0)
-        margins.append(lower_bound_L0(d, p) - upper)
-    threshold = _threshold_from_grid(grid, margins)
-    return SweepResult(
-        d=d,
-        regime=Regime.STEP2_PST_FOUR,
-        p_grid=grid,
-        margins=margins,
-        certified_threshold=threshold,
-        published_threshold=THRESHOLDS[d],
-    )
+    return SweepResult(d, regime, grid, margins, threshold, THRESHOLDS[d], limit_margin)
 
 
 def p0_report(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> tuple[float, list[SweepResult]]:
     """Combined certified threshold for one dimension, with the sweeps used.
 
-    Stitches the two interpolation regimes at the shared seam p = 4 for the
-    middle dimensions; raises if any constituent sweep fails to certify.
+    Step 1 runs on [anchor, _P_LIMIT_SWITCH] and compares the limits beyond.
+    For the middle dimensions step 2 runs on [p_st(d), 4], on a grid anchored
+    at the shared seam p = 4 (so it hits the published thresholds exactly),
+    and takes over when step 1 certifies down to the seam.  Raises if the
+    dimension has no certified threshold.
     """
-    res1 = sweep_step1(d, step=step, cfg=cfg)
+    if not 2 <= d <= 10:
+        raise ValueError(f"need 2 <= d <= 10, got {d}")
+    grid1 = _grid(6.0 if d == 2 else 4.0, _P_LIMIT_SWITCH, step)
+    if d == 2:
+        # the sixth power at degree zero, with its 1/3 degree-domination constant
+        anchor = (6.0, (lambda_power(NormKey(2, 6.0, 0), cfg=cfg).upper / 3.0) ** (1.0 / 6.0))
+    else:
+        # the fourth power at degree one, upper estimate on [0, 40] plus tail
+        anchor = (4.0, lambda_power(NormKey(d, 4.0, 1), R=40.0, cfg=cfg).upper ** 0.25)
+    sup1 = lambda_sup(d, 1).enclosure.upper
+    regime = Regime.D2_SIX_INF if d == 2 else Regime.STEP1_FOUR_INF
+    res1 = _sweep(d, regime, grid1, anchor, (math.inf, sup1), lambda_sup_zero_closed(d) - sup1)
     results = [res1]
     threshold = res1.certified_threshold
     if d in _STEP2_DIMENSIONS:
-        res2 = sweep_step2(d, step=step, cfg=cfg)
+        pst = stein_tomas_exponent(d)
+        grid2 = _grid(4.0, pst, step)
+        if abs(grid2[-1] - pst) > 1e-12:
+            grid2.append(pst)
+        endpoint = (pst, lambda_power(NormKey(d, pst, 1), R=50.0, cfg=cfg).upper ** (1.0 / pst))
+        res2 = _sweep(d, Regime.STEP2_PST_FOUR, grid2[::-1], endpoint, anchor)
         results.append(res2)
         if threshold is not None and threshold <= 4.0:
             threshold = res2.certified_threshold

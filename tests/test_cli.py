@@ -125,6 +125,17 @@ class TestSweepCommand:
         assert summary["id"] == "p0-threshold"
         assert summary["certified_threshold"] <= summary["published_threshold"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("sweep", "--d", "3"), ("reproduce", "--table", "thresholds")],
+        ids=["sweep", "reproduce-thresholds"],
+    )
+    @pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
+    def test_step_not_finite_and_positive_exits_2(self, capsys, cache_file, argv, step):
+        code = main([*argv, "--step", step, "--cache", cache_file])
+        assert code == 2
+        assert "need a finite grid step > 0" in capsys.readouterr().err
+
 
 class TestReproduceCommand:
     def test_sup_values_all_match(self, capsys, cache_file):

@@ -1,14 +1,28 @@
 import pytest
 
 from besselnorms.golden import THRESHOLDS
+from besselnorms.norms import (
+    NormKey,
+    lambda_power,
+    lambda_sup,
+    lower_bound_L0,
+    stein_tomas_exponent,
+)
 from besselnorms.sweep import (
     Regime,
     SweepResult,
     _threshold_from_grid,
     p0_report,
-    sweep_step1,
-    sweep_step2,
 )
+
+
+def step1(d: int) -> SweepResult:
+    return p0_report(d)[1][0]
+
+
+def step2(d: int) -> SweepResult:
+    (res,) = [r for r in p0_report(d)[1] if r.regime is Regime.STEP2_PST_FOUR]
+    return res
 
 
 class TestThresholdFromGrid:
@@ -25,55 +39,79 @@ class TestThresholdFromGrid:
 class TestSweepD2:
     # d = 2 anchors the step-1 sweep at the sixth power, degree zero
     def test_certifies_at_six(self):
-        res = sweep_step1(2, p_max=10.0)
+        res = step1(2)
         assert res.regime is Regime.D2_SIX_INF
         assert res.certified_threshold == 6.0
         assert res.all_positive
         assert res.limit_margin is not None and res.limit_margin > 0
 
-    def test_rejects_inadmissible_start(self):
-        with pytest.raises(ValueError):
-            sweep_step1(2, p_min=5.0)
-
 
 class TestSweepStep1:
     def test_d3_certifies_at_four(self):
-        res = sweep_step1(3, p_max=10.0)
+        res = step1(3)
         assert res.certified_threshold == 4.0
         assert res.limit_margin > 0
 
     def test_d9_fails_near_four(self):
         # the margin is negative on part of the grid, so the certified
         # threshold sits strictly above the seam
-        res = sweep_step1(9, p_max=10.0)
+        res = step1(9)
         assert not res.all_positive
         assert 4.0 < res.certified_threshold <= THRESHOLDS[9]
 
-    def test_domain(self):
-        for d in (1, 11):
-            with pytest.raises(ValueError):
-                sweep_step1(d)
-        with pytest.raises(ValueError):
-            sweep_step1(3, p_min=3.5)
+    def test_grid_runs_from_the_anchor_to_the_limit_switch(self):
+        assert step1(2).p_grid[0] == 6.0
+        assert step1(7).p_grid[0] == 4.0
+        assert step1(7).p_grid[-1] == step1(2).p_grid[-1] == 60.0
 
 
 class TestSweepStep2:
     def test_grid_spans_endpoint_to_four(self):
-        res = sweep_step2(5)
+        res = step2(5)
         assert res.p_grid[0] == pytest.approx(3.0)  # Stein-Tomas endpoint at d=5
         assert res.p_grid[-1] == 4.0
         assert res.p_grid == sorted(res.p_grid)
 
     def test_d4_certifies_published_threshold(self):
-        res = sweep_step2(4)
+        res = step2(4)
         assert res.certified_threshold is not None
         assert res.certified_threshold <= THRESHOLDS[4] + 1e-12
+        assert res.limit_margin is None
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            sweep_step2(3)
-        with pytest.raises(ValueError):
-            sweep_step2(9)
+        # only the middle dimensions have a threshold below the seam
+        for d in range(2, 11):
+            has_step2 = any(r.regime is Regime.STEP2_PST_FOUR for r in p0_report(d)[1])
+            assert has_step2 == (4 <= d <= 8), d
+
+
+# the step-0.01 thresholds, per regime and combined
+STEP1_THRESHOLDS = {2: 6.0, 3: 4.0, 4: 4.0, 5: 4.0, 6: 4.0, 7: 4.0, 8: 4.0, 9: 4.02, 10: 4.37}
+STEP2_THRESHOLDS = {4: 3.48, 5: 3.48, 6: 3.57, 7: 3.7, 8: 3.85}
+COMBINED_THRESHOLDS = {2: 6.0, 3: 4.0, 4: 3.48, 5: 3.48, 6: 3.57, 7: 3.7, 8: 3.85, 9: 4.02, 10: 4.37}
+
+
+def old_step1_upper(d: int):
+    """The step-1 closed form p -> c^(1/p) A^(1/p) S^(1 - p_a/p)."""
+    if d == 2:
+        p_a, c, A = 6.0, 1.0 / 3.0, lambda_power(NormKey(2, 6.0, 0)).upper
+    else:
+        p_a, c, A = 4.0, 1.0, lambda_power(NormKey(d, 4.0, 1), R=40.0).upper
+    S = lambda_sup(d, 1).enclosure.upper
+    return lambda p: c ** (1.0 / p) * A ** (1.0 / p) * S ** (1.0 - p_a / p)
+
+
+def old_step2_upper(d: int):
+    """The step-2 closed form p -> B^((1-θ)/p_st) A4^(θ/4), θ = (4/p)(p-p_st)/(4-p_st)."""
+    pst = stein_tomas_exponent(d)
+    B = lambda_power(NormKey(d, pst, 1), R=50.0).upper
+    A4 = lambda_power(NormKey(d, 4.0, 1), R=40.0).upper
+
+    def upper(p):
+        theta = (4.0 / p) * (p - pst) / (4.0 - pst)
+        return B ** ((1.0 - theta) / pst) * A4 ** (theta / 4.0)
+
+    return upper
 
 
 class TestP0Report:
@@ -82,6 +120,22 @@ class TestP0Report:
         threshold, results = p0_report(d)
         assert threshold <= THRESHOLDS[d] + 1e-12
         assert all(isinstance(r, SweepResult) for r in results)
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_pinned_thresholds(self, d):
+        threshold, results = p0_report(d)
+        assert threshold == COMBINED_THRESHOLDS[d]
+        assert results[0].certified_threshold == STEP1_THRESHOLDS[d]
+        assert results[0].limit_margin > 0
+        assert [r.certified_threshold for r in results[1:]] == ([STEP2_THRESHOLDS[d]] if d in STEP2_THRESHOLDS else [])
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_margins_match_the_two_closed_forms(self, d):
+        for res in p0_report(d)[1]:
+            old_upper = (old_step2_upper if res.regime is Regime.STEP2_PST_FOUR else old_step1_upper)(d)
+            for p, margin in zip(res.p_grid, res.margins):
+                upper = old_upper(p)
+                assert abs(margin - (lower_bound_L0(d, p) - upper)) <= 1e-14 * upper, (res.regime, p)
 
     def test_middle_dimensions_stitch_two_regimes(self):
         _, results = p0_report(6)
@@ -94,5 +148,6 @@ class TestP0Report:
             assert [r.regime for r in results] == [regime]
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            p0_report(11)
+        for d in (1, 11):
+            with pytest.raises(ValueError):
+                p0_report(d)
