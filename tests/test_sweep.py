@@ -64,6 +64,11 @@ class TestSweepStep1:
         assert step1(7).p_grid[0] == 4.0
         assert step1(7).p_grid[-1] == step1(2).p_grid[-1] == 60.0
 
+    def test_domain(self):
+        for d in (1, 11):
+            with pytest.raises(ValueError):
+                step1(d)
+
 
 class TestSweepStep2:
     def test_grid_spans_endpoint_to_four(self):
@@ -148,6 +153,5 @@ class TestP0Report:
             assert [r.regime for r in results] == [regime]
 
     def test_domain(self):
-        for d in (1, 11):
-            with pytest.raises(ValueError):
-                p0_report(d)
+        with pytest.raises(ValueError):
+            p0_report(11)
