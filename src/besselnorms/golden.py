@@ -112,7 +112,8 @@ def matches_6sf(computed: float, reference: float) -> bool:
     return abs(round_sig(computed) - round_sig(reference)) <= ulp * (1.0 + 1e-9)
 
 
-def meets_threshold(certified: float, published: float) -> bool:
+def meets_threshold(certified: float | None, published: float) -> bool:
     """A certified exponent threshold reproduces a published one when it is no
-    larger (up to 1e-12): the published exponent is then certified too."""
-    return certified <= published + 1e-12
+    larger (up to 1e-12): the published exponent is then certified too.  No
+    certified threshold (None) reproduces nothing."""
+    return certified is not None and certified <= published + 1e-12

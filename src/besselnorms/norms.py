@@ -20,6 +20,7 @@ from .quadrature import (
     zero_order_tail_bound,
 )
 from .specfun import (
+    MAX_TWICE_NU,
     BesselOrder,
     RootBracketError,
     SpecfunDomainError,
@@ -40,6 +41,7 @@ __all__ = [
     "BestKResult",
     "lambda_finite",
     "lambda_power",
+    "truncated_power",
     "lambda_sup",
     "lambda_sup_zero_closed",
     "lambda4_zero",
@@ -124,6 +126,11 @@ def _tail_for(key: NormKey, R: float) -> float:
     return tail_bound(key.d, key.p, key.k, R)
 
 
+def truncated_power(key: NormKey, R: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> Enclosure:
+    """The stored integral of the p-th power on [0, R], without its tail."""
+    return store.current().enclosure("power", integrate_weighted_power, key.d, key.p, key.k, R, cfg)
+
+
 def lambda_power(
     key: NormKey, R: float | None = None, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
 ) -> Enclosure:
@@ -131,8 +138,7 @@ def lambda_power(
     if key.is_sup:
         raise SpecfunDomainError("lambda_power needs a finite exponent")
     R = default_radius(key.d, key.k) if R is None else R
-    truncated = store.current().enclosure("power", integrate_weighted_power, key.d, key.p, key.k, R, cfg)
-    return truncated.with_tail(_tail_for(key, R))
+    return truncated_power(key, R, cfg).with_tail(_tail_for(key, R))
 
 
 def lambda_finite(
@@ -291,7 +297,8 @@ def best_k(
        lower end is the bar.
     2. k_dom is the first degree above `top` where U(d, p, k_dom) falls below
        the bar.  U strictly decreases in k and tends to 0 (see upper_bound_U),
-       so this settles every k >= k_dom at once.
+       so this settles every k >= k_dom at once.  A degree below k_dom whose
+       order exceeds MAX_TWICE_NU cannot be enclosed: SpecfunDomainError.
     3. Enclose each degree strictly between on [0, R] plus tail; an upper end
        not strictly below the bar gives INCONCLUSIVE, never a forced PASS.
     """
@@ -302,9 +309,12 @@ def best_k(
     bar = top_power.lower
     k_dom = top + 1
     while (u_dom := upper_bound_U(d, p, k_dom)) >= bar:
+        # degree k_dom joins the explicit ones, which bessel_j must reach
+        if (twice_nu := BesselOrder.from_dim_degree(d, k_dom).twice_nu) > MAX_TWICE_NU:
+            raise SpecfunDomainError(
+                f"no domination degree for d={d}, p={p}: degree {k_dom} would need order 2nu={twice_nu} > MAX_TWICE_NU={MAX_TWICE_NU}"
+            )
         k_dom += 1
-        if k_dom > top + 200:
-            raise RuntimeError(f"no domination degree within 200 of {top} for d={d}, p={p}")
     result = BestKResult(d=d, p=p, top_power=top_power, dominated_from=k_dom, u_dominated=u_dom)
     for k in range(top + 1, k_dom):
         power = lambda_power(NormKey(d, p, k), R, cfg)

@@ -94,16 +94,6 @@ class Enclosure:
         half = 0.5 * (up - lo)
         return Enclosure(lo, up, truncation_bound=half, quad_error_bound=0.0)
 
-    def scaled(self, factor: float) -> "Enclosure":
-        if factor <= 0:
-            raise ValueError("scaled() needs a positive factor")
-        return Enclosure(
-            self.lower * factor,
-            self.upper * factor,
-            truncation_bound=self.truncation_bound * factor,
-            quad_error_bound=self.quad_error_bound * factor,
-        )
-
     @classmethod
     def point(cls, value: float) -> "Enclosure":
         return cls(value, value)

@@ -58,10 +58,6 @@ class SweepResult:
     limit_margin: float | None = None
     notes: list = field(default_factory=list)
 
-    @property
-    def all_positive(self) -> bool:
-        return all(m > _MARGIN_FLOOR for m in self.margins)
-
 
 def _threshold_from_grid(p_grid, margins) -> float | None:
     """Smallest grid exponent from which every later margin stays positive."""
@@ -108,14 +104,14 @@ def _sweep(d, regime, grid, low, high, limit_margin=None) -> SweepResult:
     return SweepResult(d, regime, grid, margins, threshold, THRESHOLDS[d], limit_margin)
 
 
-def p0_report(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> tuple[float, list[SweepResult]]:
+def p0_report(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> tuple[float | None, list[SweepResult]]:
     """Combined certified threshold for one dimension, with the sweeps used.
 
     Step 1 runs on [anchor, _P_LIMIT_SWITCH] and compares the limits beyond.
     For the middle dimensions step 2 runs on [p_st(d), 4], on a grid anchored
     at the shared seam p = 4 (so it hits the published thresholds exactly),
-    and takes over when step 1 certifies down to the seam.  Raises if the
-    dimension has no certified threshold.
+    and takes over when step 1 certifies down to the seam.  The threshold is
+    None when the dimension has none certified on the grid.
     """
     if not 2 <= d <= 10:
         raise ValueError(f"need 2 <= d <= 10, got {d}")
@@ -141,6 +137,4 @@ def p0_report(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFIG)
         results.append(res2)
         if threshold is not None and threshold <= 4.0:
             threshold = res2.certified_threshold
-    if threshold is None:
-        raise RuntimeError(f"no certified threshold for d={d}")
     return threshold, results

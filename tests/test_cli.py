@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -7,7 +9,7 @@ import pytest
 import besselnorms.local as local
 import besselnorms.norms as norms
 import besselnorms.quadrature as quadrature
-from besselnorms.cli import ResultCache, RunConfig, fmt, main
+from besselnorms.cli import ResultCache, fmt, main
 
 
 def run(capsys, *argv):
@@ -137,6 +139,31 @@ class TestSweepCommand:
         assert "need a finite grid step > 0" in capsys.readouterr().err
 
 
+class TestOutsideInputs:
+    """Inputs that once ended in a traceback: each now exits with a report or 2."""
+
+    def test_degree_search_past_the_order_limit_exits_2(self, capsys, cache_file):
+        # near the strip end p = 3.2, U first falls below L0 beyond 2 nu = 120
+        code = main(["verify", "holder-chain", "--d", "3", "--p", "3.21", "--k", "1", "--cache", cache_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "no domination degree for d=3, p=3.21" in captured.err
+
+    def test_sweep_certifying_nothing_fails(self, capsys, cache_file):
+        code, report = run_json(capsys, "sweep", "--d", "10", "--step", "100", "--cache", cache_file)
+        assert code == 1 and report["status"] == "FAIL"
+        summary = report["entries"][-1]
+        assert summary["id"] == "p0-threshold" and summary["status"] == "FAIL"
+        assert summary["certified_threshold"] is summary["value_lower"] is summary["value_upper"] is None
+
+    def test_threshold_table_row_certifying_nothing_fails(self, capsys, cache_file):
+        code, report = run_json(capsys, "reproduce", "--table", "thresholds", "--step", "100", "--cache", cache_file)
+        assert code == 1 and report["status"] == "FAIL"
+        empty = [e["params"]["d"] for e in report["entries"] if e["value_lower"] is None]
+        assert empty == [9, 10]
+        assert all(e["status"] == "FAIL" for e in report["entries"] if e["params"]["d"] in empty)
+
+
 class TestReproduceCommand:
     def test_sup_values_all_match(self, capsys, cache_file):
         code, report = run_json(capsys, "reproduce", "--table", "sup-values", "--cache", cache_file)
@@ -152,6 +179,51 @@ class TestReproduceCommand:
         failing = [e for e in report["entries"] if e["status"] == "FAIL"]
         assert [e["params"] for e in failing] == [{"d": 3, "k": 4, "R": 200}]
         assert float(failing[0]["value_lower"]) == pytest.approx(0.0615959, abs=5e-8)
+
+
+def _csv_rows(out: str) -> list[tuple]:
+    header, *rows = csv.reader(out.splitlines())
+    assert header == ["id", "params", "value_lower", "value_upper", "status"]
+    return [(i, json.loads(params), lower or None, upper or None, status) for i, params, lower, upper, status in rows]
+
+
+def _text_rows(out: str) -> tuple[list[tuple], str]:
+    *lines, overall = out.splitlines()
+    rows = []
+    for line in lines:
+        if line.startswith("    note: "):
+            continue
+        i, params, status, *ends = line.split("  ")
+        lower, upper = ends[0].strip("[]").split(", ") if ends else (None, None)
+        rows.append((i, json.loads(params), lower, upper, status))
+    assert overall.startswith("overall: ")
+    return rows, overall.removeprefix("overall: ")
+
+
+class TestOneReportThreeFormats:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--d", "3", "--p", "4", "--k", "1", "--R", "40"),
+            ("verify", "holder-chain", "--d", "3", "--p", "4", "--k", "1"),
+            ("sweep", "--d", "3"),
+            ("sweep", "--d", "10", "--step", "100"),
+            ("reproduce", "--table", "sup-values"),
+            ("reproduce", "--table", "p4-truncations"),
+        ],
+        ids=["norm", "verify", "sweep", "sweep-fail", "reproduce", "reproduce-fail"],
+    )
+    def test_csv_and_text_carry_the_json_entries(self, capsys, cache_file, argv):
+        json_code, report = run_json(capsys, *argv, "--cache", cache_file)
+        expected = [(e["id"], e["params"], e["value_lower"], e["value_upper"], e["status"]) for e in report["entries"]]
+        csv_code, csv_out = run(capsys, *argv, "--cache", cache_file, "--format", "csv")
+        text_code, text_out = run(capsys, *argv, "--cache", cache_file, "--format", "text")
+        text_rows, overall = _text_rows(text_out)
+        assert _csv_rows(csv_out) == text_rows == expected
+        assert overall == report["status"]
+        assert json_code == csv_code == text_code == (0 if report["status"] == "PASS" else 1)
+        notes = [n for e in report["entries"] for n in e["notes"]]
+        assert [line.removeprefix("    note: ") for line in text_out.splitlines() if line.startswith("    note: ")] == notes
 
 
 class TestOutputFormats:
@@ -306,9 +378,13 @@ class TestCache:
         assert not os.path.exists(cache_file)
 
 
-class TestRunConfig:
-    def test_digest_ignores_output_format(self):
-        a = RunConfig(output_format="json")
-        b = RunConfig(output_format="csv")
-        assert a.digest() == b.digest()
-        assert a.digest() != RunConfig(precision="fast").digest()
+class TestReportConfig:
+    def test_digest_ignores_output_format(self, capsys, cache_file):
+        args = ("norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
+        _, standard = run_json(capsys, *args)
+        _, fast = run_json(capsys, *args, "--precision", "fast")
+        config = dict(standard["config"])
+        assert config.pop("output_format") == "json"
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        assert standard["config_digest"] == hashlib.sha256(canonical.encode()).hexdigest()
+        assert fast["config_digest"] != standard["config_digest"]

@@ -30,6 +30,16 @@ class TestMatches6sf:
         assert not golden.matches_6sf(1e-30, 0.0)
 
 
+class TestMeetsThreshold:
+    def test_at_or_below_published(self):
+        assert golden.meets_threshold(3.48, 3.48)
+        assert golden.meets_threshold(3.47, 3.48)
+        assert not golden.meets_threshold(3.49, 3.48)
+
+    def test_no_certified_threshold_meets_nothing(self):
+        assert not golden.meets_threshold(None, 4.46)
+
+
 class TestTables:
     def test_expected_coverage(self):
         assert set(golden.SUP_NORM_DEGREE_ONE) == set(range(2, 11))

@@ -10,6 +10,7 @@ from besselnorms.hierarchy import (
 )
 from besselnorms.norms import Status, best_k, upper_bound_U
 from besselnorms.quadrature import Enclosure
+from besselnorms.specfun import SpecfunDomainError
 
 # first degree settled by the decreasing U bound, per dimension
 P4_DOMINATION_SPLIT = {3: 5, 4: 3, 5: 2, 6: 2, 7: 2, 8: 2, 9: 3, 10: 3}
@@ -47,9 +48,10 @@ class TestDominationDegree:
         assert k == P4_DOMINATION_SPLIT[3]
 
     def test_unreachable_threshold(self, monkeypatch):
-        # a bar far below every U within 200 degrees
+        # a bar far below every U up to the order limit: the degrees below
+        # any k_dom could not be enclosed, so the search stops there
         monkeypatch.setattr(norms, "lambda_power", lambda *a, **kw: Enclosure.point(1e-300))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SpecfunDomainError):
             best_k(3, 4.0, 1)
 
 

@@ -5,6 +5,7 @@ from scipy.special import jv
 
 import besselnorms.norms as norms
 import besselnorms.specfun as specfun
+from besselnorms import golden
 from besselnorms.norms import (
     INFINITY,
     BestKResult,
@@ -23,6 +24,7 @@ from besselnorms.norms import (
     validity_strip,
     lower_bound_L0,
     stein_tomas_exponent,
+    truncated_power,
     upper_bound_U,
     weighted_l2_identity,
 )
@@ -41,6 +43,21 @@ SUP_ORACLE_DEGREES = (1, 2, 3, 5, 8, 13, 21, 30, 40)
 # integral of J_1(r)^2 r^(-1/2) over (0, inf): piecewise Simpson on [0, 2e5]
 # plus the asymptotic-mean tail (2/pi) R^(-1/2), frozen; accurate to ~5e-9
 WL2_NU1_LAM_HALF = 0.8231298919618683
+
+# every golden SUP_NORM_DEGREE_ONE entry, frozen from 20-digit mpmath: the
+# value r^(1-d/2) J_{d/2}(r) at the root of J_{d/2}(r) - r J_{d/2+1}(r)
+# found by mpmath.findroot from the engine's critical point
+SUP_NORM_DEGREE_ONE_MPMATH = {
+    2: 0.58186522428159637933,
+    3: 0.34802273770383333186,
+    4: 0.17996286628363046857,
+    5: 0.083001310493009538443,
+    6: 0.034849161441440760908,
+    7: 0.013512917436594874539,
+    8: 0.0048907216826149865142,
+    9: 0.0016657529941406573016,
+    10: 0.00053736357177317766934,
+}
 
 # sixth-power integral for d=2, k=0 truncated at R=400, 30-digit quadrature
 LAM6_D2_K0_R400 = 0.33662662685875281
@@ -135,6 +152,18 @@ class TestLambdaPower:
         with pytest.raises(SpecfunDomainError):
             lambda_power(NormKey(3, INFINITY, 0))
 
+    def test_truncated_power_is_the_stored_entry_without_tail(self, monkeypatch):
+        clear_memo_cache()
+        calls = []
+        integrate = norms.integrate_weighted_power
+        monkeypatch.setattr(norms, "integrate_weighted_power", lambda *a: calls.append(a) or integrate(*a))
+        key = NormKey(4, 4.0, 2)
+        truncated = truncated_power(key, 200.0)
+        power = lambda_power(key, 200.0)
+        assert (power.lower, power.quad_error_bound) == (truncated.lower, truncated.quad_error_bound)
+        assert power.upper > truncated.upper
+        assert len(calls) == 1
+
 
 class TestLambdaFinite:
     def test_pth_root_of_power(self):
@@ -169,6 +198,14 @@ class TestSupNorms:
     def test_degree_one_d3(self):
         nv = lambda_sup(3, 1)
         assert nv.enclosure.midpoint == pytest.approx(0.348023, abs=5e-7)
+
+    def test_every_degree_one_golden_entry_is_frozen(self):
+        assert set(golden.SUP_NORM_DEGREE_ONE) == set(SUP_NORM_DEGREE_ONE_MPMATH)
+
+    @pytest.mark.parametrize("d", sorted(SUP_NORM_DEGREE_ONE_MPMATH))
+    def test_degree_one_encloses_mpmath_value(self, d):
+        enc = lambda_sup(d, 1).enclosure
+        assert enc.lower <= SUP_NORM_DEGREE_ONE_MPMATH[d] <= enc.upper
 
     def test_strictly_decreasing_in_degree(self):
         values = [lambda_sup(5, k).enclosure.midpoint for k in range(5)]
@@ -289,3 +326,13 @@ class TestBestK:
     def test_outside_strip_rejected(self):
         with pytest.raises(SpecfunDomainError):
             best_k(3, 3.1, 2)
+
+    def test_search_stops_at_the_order_limit(self, monkeypatch):
+        # near the lower strip end (3.2 for d = 3) U decays slowly: degree 60,
+        # 2 nu = 121 > MAX_TWICE_NU, would still need an explicit enclosure
+        powers = []
+        original = norms.lambda_power
+        monkeypatch.setattr(norms, "lambda_power", lambda key, *a: powers.append(key.k) or original(key, *a))
+        with pytest.raises(SpecfunDomainError, match="degree 60 would need order 2nu=121"):
+            best_k(3, 3.21, 0)
+        assert powers == [0]

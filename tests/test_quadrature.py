@@ -78,6 +78,27 @@ PST_TRUNCATED_MPMATH = {
     (10, 0, 50.0): 0.10108610146278561955,
 }
 
+# Every golden P4_TRUNCATED_* entry, keyed by (d, k, R), frozen from 20-digit
+# mpmath.quad of (J_nu(r) r^(1-d/2))^4 r^(d-1), nu = d/2 - 1 + k, on [0, R]
+# split into subintervals 2 wide.  The (3, 4, 200) value confirms the
+# recomputed 0.0615959 against the published 0.0615859.
+P4_TRUNCATED_MPMATH = {
+    (3, 1, 40.0): 0.14468137099596960862,
+    (4, 1, 40.0): 0.033726253783873014299,
+    (5, 1, 40.0): 0.0066134775028318634161,
+    (6, 1, 40.0): 0.0010721670093763286394,
+    (7, 1, 40.0): 0.00014631751469747139101,
+    (8, 1, 40.0): 0.000017154903087424043316,
+    (9, 1, 40.0): 1.758668401462028783e-6,
+    (10, 1, 40.0): 1.5995253245250283515e-7,
+    (3, 2, 200.0): 0.099282765990475741208,
+    (3, 3, 200.0): 0.075704504321160033318,
+    (3, 4, 200.0): 0.061595918080458191623,
+    (4, 2, 200.0): 0.017260219992317990122,
+    (9, 2, 200.0): 4.7078203500727037443e-7,
+    (10, 2, 200.0): 4.0018359145755902865e-8,
+}
+
 # Non-even exponents the engine meets at a zero: p_st(d) for d = 4..10 (10/3,
 # 3, 2.8, 8/3, 18/7, 5/2, 22/9) and their p - 2 values (4/3, 1, 0.8, ...).
 JACOBI_EXPONENTS = sorted(
@@ -169,13 +190,6 @@ class TestEnclosure:
         enc = Enclosure(0.9, 1.1, truncation_bound=0.1)
         with pytest.raises(ValueError):
             enc.powered(0.0)
-
-    def test_scaled(self):
-        enc = Enclosure(1.0, 1.2, truncation_bound=0.1)
-        out = enc.scaled(3.0)
-        assert (out.lower, out.upper) == (3.0, pytest.approx(3.6))
-        with pytest.raises(ValueError):
-            enc.scaled(-1.0)
 
     def test_point(self):
         enc = Enclosure.point(2.5)
@@ -400,6 +414,17 @@ class TestIntegrateWeightedPower:
             integrate_weighted_power(1, 4.0, 0, 40.0)
         with pytest.raises(SpecfunDomainError):
             integrate_weighted_power(3, 4.0, 1, 1500.0)  # beyond MAX_ARGUMENT
+
+    def test_every_p4_golden_entry_is_frozen(self):
+        keys = {(d, 1, 40.0) for d in golden.P4_TRUNCATED_40_K1}
+        keys |= {(d, k, 200.0) for d, k in golden.P4_TRUNCATED_200}
+        assert keys == set(P4_TRUNCATED_MPMATH)
+
+    @pytest.mark.parametrize("key", sorted(P4_TRUNCATED_MPMATH))
+    def test_p4_truncated_encloses_mpmath_value(self, key):
+        d, k, R = key
+        enc = integrate_weighted_power(d, 4.0, k, R)
+        assert enc.lower <= P4_TRUNCATED_MPMATH[key] <= enc.upper
 
     def test_cross_term_degree_zero_equals_power(self):
         a = integrate_weighted_power(3, 4.0, 0, 60.0)

@@ -9,6 +9,7 @@ from besselnorms.norms import (
     stein_tomas_exponent,
 )
 from besselnorms.sweep import (
+    _MARGIN_FLOOR,
     Regime,
     SweepResult,
     _threshold_from_grid,
@@ -42,7 +43,7 @@ class TestSweepD2:
         res = step1(2)
         assert res.regime is Regime.D2_SIX_INF
         assert res.certified_threshold == 6.0
-        assert res.all_positive
+        assert all(m > _MARGIN_FLOOR for m in res.margins)
         assert res.limit_margin is not None and res.limit_margin > 0
 
 
@@ -56,7 +57,7 @@ class TestSweepStep1:
         # the margin is negative on part of the grid, so the certified
         # threshold sits strictly above the seam
         res = step1(9)
-        assert not res.all_positive
+        assert min(res.margins) <= _MARGIN_FLOOR
         assert 4.0 < res.certified_threshold <= THRESHOLDS[9]
 
     def test_grid_runs_from_the_anchor_to_the_limit_switch(self):
@@ -155,3 +156,10 @@ class TestP0Report:
     def test_domain(self):
         with pytest.raises(ValueError):
             p0_report(11)
+
+    def test_no_certified_threshold_is_none(self):
+        # a step of 100 leaves the d = 10 step-1 grid the single point p = 4,
+        # where the margin is negative
+        threshold, (res,) = p0_report(10, step=100.0)
+        assert res.p_grid == [4.0] and res.margins[0] <= _MARGIN_FLOOR
+        assert threshold is None and res.certified_threshold is None
