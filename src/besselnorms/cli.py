@@ -1,6 +1,7 @@
 """Command-line front end: norm computations, hierarchy verifications,
-exponent sweeps and reproduction tables, all reading and writing one
-result store kept in a JSON file.
+exponent sweeps and reproduction tables.  Each command keeps its integrals
+in an in-process result store; --cache PATH mirrors the store to a JSON
+file, and without it no file is read or written.
 
 Exit codes: 0 when the report's status is PASS, 1 when it is FAIL (any
 FAIL or INCONCLUSIVE entry, a sweep that certifies no threshold included),
@@ -16,7 +17,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -32,21 +32,12 @@ from .norms import (
     stein_tomas_exponent,
     truncated_power,
 )
-from .quadrature import Enclosure, QuadConfig
-from .specfun import SpecfunDomainError
+from .quadrature import Enclosure
+from .specfun import SpecfunDomainError, check_admissible
 from .store import ResultCache
 from .sweep import p0_report
 
 __all__ = ["main"]
-
-CACHE_ENV_VAR = "BESSELNORMS_CACHE"
-DEFAULT_CACHE_PATH = "~/.cache/besselnorms/results.json"
-
-PRECISION_PROFILES = {
-    "fast": QuadConfig(abs_tol=1e-8, max_refinements=8),
-    "standard": QuadConfig(),
-    "high": QuadConfig(gauss_order_high=24, gauss_order_low=12, abs_tol=1e-13),
-}
 
 
 def fmt(x: float) -> str:
@@ -130,18 +121,19 @@ def _parse_p(raw: str) -> float:
     return float(raw)
 
 
-def cmd_norm(args, quad: QuadConfig) -> list[dict]:
+def cmd_norm(args) -> list[dict]:
     p = _parse_p(args.p)
     if math.isinf(p):
         nv = lambda_sup(args.d, args.k)
     else:
-        nv = lambda_finite(NormKey(args.d, p, args.k), args.R, quad)
+        nv = lambda_finite(NormKey(args.d, p, args.k), args.R)
     params = {"d": args.d, "p": "inf" if math.isinf(p) else p, "k": args.k, "R": nv.R_used}
     return [_entry("norm", params, "PASS", nv.enclosure.lower, nv.enclosure.upper, method=nv.method.value)]
 
 
 def _pair_exponent(args) -> float:
     """--p, or the paper's exponent for the dimension: 6 (d=2), 4 (d=3), p_st(d)."""
+    check_admissible(args.d)
     if args.p is not None:
         return _parse_p(args.p)
     if args.d == 2:
@@ -151,20 +143,20 @@ def _pair_exponent(args) -> float:
     return stein_tomas_exponent(args.d)
 
 
-def cmd_verify(args, quad: QuadConfig) -> list[dict]:
+def cmd_verify(args) -> list[dict]:
     if args.claim == "sup-monotone":
         record = verify_sup_monotone(args.d, args.K if args.K is not None else 10)
         if args.d > 10:
             record.notes.append("dimension beyond the published tables; engine extension")
     elif args.claim == "p4":
-        record = verify_p4(args.d, quad)
+        record = verify_p4(args.d)
     elif args.claim == "pst":
-        record = verify_pst(args.d, quad)
+        record = verify_pst(args.d)
     elif args.claim == "holder-chain":
-        record = verify_holder_chain(args.d, _pair_exponent(args), args.k if args.k is not None else 1, args.R, quad)
+        record = verify_holder_chain(args.d, _pair_exponent(args), args.k if args.k is not None else 1, args.R)
     else:
         record = verify_second_order_positivity(
-            args.d, _pair_exponent(args), args.K if args.K is not None else 8, args.R, quad
+            args.d, _pair_exponent(args), args.K if args.K is not None else 8, args.R
         )
     params = {key: ("inf" if v == INFINITY else v) for key, v in record.params.items()}
     witnesses = [{"description": desc, "value": _witness_value(v)} for desc, v in record.witnesses]
@@ -172,8 +164,8 @@ def cmd_verify(args, quad: QuadConfig) -> list[dict]:
     return [_entry(record.claim_id.value, params, record.status.value, notes=record.notes, **fields)]
 
 
-def cmd_sweep(args, quad: QuadConfig) -> list[dict]:
-    threshold, results = p0_report(args.d, step=args.step, cfg=quad)
+def cmd_sweep(args) -> list[dict]:
+    threshold, results = p0_report(args.d, step=args.step)
     entries = [
         _entry(
             f"sweep-{res.regime.value}",
@@ -201,14 +193,14 @@ def cmd_sweep(args, quad: QuadConfig) -> list[dict]:
     return entries
 
 
-def cmd_reproduce(args, quad: QuadConfig) -> list[dict]:
+def cmd_reproduce(args) -> list[dict]:
     rows = []  # (label, params, computed value, reference)
     if args.table == "sup-values":
         for d, ref in golden.SUP_NORM_DEGREE_ONE.items():
             rows.append((f"sup d={d} k=1", {"d": d, "k": 1}, lambda_sup(d, 1).enclosure.midpoint, ref))
     elif args.table == "thresholds":
         for d, ref in golden.THRESHOLDS.items():
-            rows.append((f"threshold d={d}", {"d": d}, p0_report(d, step=args.step, cfg=quad)[0], ref))
+            rows.append((f"threshold d={d}", {"d": d}, p0_report(d, step=args.step)[0], ref))
     else:
         if args.table == "p4-truncations":
             name, exponent = "p4", lambda d: 4.0
@@ -222,7 +214,7 @@ def cmd_reproduce(args, quad: QuadConfig) -> list[dict]:
             ]
         for R, refs in parts:
             for (d, k), ref in refs.items():
-                truncated = truncated_power(NormKey(d, exponent(d), k), float(R), quad)
+                truncated = truncated_power(NormKey(d, exponent(d), k), float(R))
                 rows.append((f"{name} [0,{R}] d={d} k={k}", {"d": d, "k": k, "R": R}, truncated.midpoint, ref))
     matches = golden.meets_threshold if args.table == "thresholds" else golden.matches_6sf
     return [
@@ -231,19 +223,13 @@ def cmd_reproduce(args, quad: QuadConfig) -> list[dict]:
     ]
 
 
-def cmd_cache(args, quad: QuadConfig) -> None:
-    store.current().clear()
-    print("cache cleared")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="besselnorms", description=__doc__)
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    shared.add_argument("--precision", choices=tuple(PRECISION_PROFILES), default="standard")
-    shared.add_argument("--cache", default=None, help=f"cache file path (default ${CACHE_ENV_VAR} or {DEFAULT_CACHE_PATH})")
+    shared.add_argument("--cache", default=None, help="JSON file that keeps computed integrals across runs (default: none)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[shared], **kw))
 
     p_norm = sub.add_parser("norm", help="compute one weighted norm")
@@ -271,30 +257,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--table", required=True, choices=("sup-values", "p4-truncations", "pst-truncations", "thresholds"))
     p_repro.add_argument("--step", type=float, default=0.01)
     p_repro.set_defaults(run=cmd_reproduce)
-
-    p_cache = sub.add_parser("cache", help="manage the result cache")
-    p_cache.add_argument("action", choices=("clear",))
-    p_cache.set_defaults(run=cmd_cache)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; build, print and score its report (cache has none)."""
+    """Run one command; build, print and score its report."""
     args = build_parser().parse_args(argv)
-    cache = ResultCache(args.cache or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH)
+    cache = ResultCache(args.cache)
     try:
         with store.using(cache):
-            entries = args.run(args, PRECISION_PROFILES[args.precision])
+            entries = args.run(args)
     except (SpecfunDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         cache.save()
-    if entries is None:
-        return 0
     status = "PASS" if all(e["status"] == "PASS" for e in entries) else "FAIL"
     # the output format does not affect computed values, so the digest leaves it out
-    config = {"precision": args.precision, "radius": getattr(args, "R", None), "grid_step": getattr(args, "step", 0.01)}
+    config = {"radius": getattr(args, "R", None), "grid_step": getattr(args, "step", 0.01)}
     report = {
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),

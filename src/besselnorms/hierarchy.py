@@ -23,7 +23,7 @@ from .norms import (
     lambda_sup,
     stein_tomas_exponent,
 )
-from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig
+from .quadrature import Enclosure
 
 __all__ = [
     "ClaimId",
@@ -87,16 +87,14 @@ def _require_strict(record: VerificationRecord, smaller_upper: float, larger_low
     record.notes.append(f"{what}: {smaller_upper} not strictly below {larger_lower}")
 
 
-def _degree_one_dominates(
-    record: VerificationRecord, R1: float, p_name: str, power_name: str, cfg: QuadConfig
-) -> Enclosure:
+def _degree_one_dominates(record: VerificationRecord, R1: float, p_name: str, power_name: str) -> Enclosure:
     """Degree one against every degree k >= 2, through norms.best_k: the
     degree-one power on [0, R1] plus tail, the first degree U settles, and the
     degrees below it on [0, 200] plus tail.  Returns the degree-one enclosure
     for the degree-zero step.
     """
     d, p = record.params["d"], record.params["p"]
-    result = best_k(d, p, 1, R1, 200.0, cfg)
+    result = best_k(d, p, 1, R1, 200.0)
     record.add(f"degree-1 {power_name} on [0,{R1:g}] + tail", result.top_power)
     record.k_dominated_from = result.dominated_from
     record.k_explicit = result.dominated_from - 1
@@ -109,13 +107,13 @@ def _degree_one_dominates(
     return result.top_power
 
 
-def verify_p4(d: int, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> VerificationRecord:
+def verify_p4(d: int) -> VerificationRecord:
     """Verify that at p = 4 every degree k >= 1 is dominated by degree one,
     and degree one by degree zero, for 3 <= d <= 10."""
     if not 3 <= d <= 10:
         raise ValueError(f"need 3 <= d <= 10, got {d}")
     record = VerificationRecord(claim_id=ClaimId.P4_HIERARCHY, params={"d": d, "p": 4.0}, status=Status.PASS)
-    power1 = _degree_one_dominates(record, 40.0, "4", "fourth power", cfg)
+    power1 = _degree_one_dominates(record, 40.0, "4", "fourth power")
 
     # (d) degree one below degree zero (closed form)
     zero4 = lambda4_zero(d) ** 4
@@ -124,26 +122,16 @@ def verify_p4(d: int, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> VerificationReco
     return record
 
 
-def verify_pst(d: int, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> VerificationRecord:
+def verify_pst(d: int) -> VerificationRecord:
     """Verify the degree hierarchy at the Stein-Tomas endpoint, 4 <= d <= 10."""
     if not 4 <= d <= 10:
         raise ValueError(f"need 4 <= d <= 10, got {d}")
     p = stein_tomas_exponent(d)
     record = VerificationRecord(claim_id=ClaimId.PST_HIERARCHY, params={"d": d, "p": p}, status=Status.PASS)
-    power1 = _degree_one_dominates(record, 50.0, "p_st", "power", cfg)
+    power1 = _degree_one_dominates(record, 50.0, "p_st", "power")
 
     # (d) degree one below degree zero; both estimated from [0, 50]
-    upper1 = power1.upper
-    power0 = lambda_power(NormKey(d, p, 0), R=50.0, cfg=cfg)
+    power0 = lambda_power(NormKey(d, p, 0), R=50.0)
     record.add("degree-0 power on [0,50] + tail", power0)
-    if d in (4, 5):
-        # accepted from the prior published verification, but recomputed too
-        recomputed_ok = upper1 < power0.lower
-        record.notes.append(
-            f"degree-1 < degree-0 accepted externally for d={d}; "
-            f"recomputed comparison {'holds' if recomputed_ok else 'did not separate'}"
-            f" ({upper1} vs {power0.lower})"
-        )
-    else:
-        _require_strict(record, upper1, power0.lower, "degree 1 vs degree 0")
+    _require_strict(record, power1.upper, power0.lower, "degree 1 vs degree 0")
     return record

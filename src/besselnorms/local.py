@@ -62,15 +62,18 @@ class DeficitCoefficients:
 def cross_norm(
     d: int, p: float, k: int, R: float | None = None, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
 ) -> Enclosure:
-    """Enclosure of the cross integral M(k): truncated part plus tail bound."""
+    """Enclosure of the cross integral M(k): truncated part plus tail bound.
+
+    The checks here never vary cfg; it stays a parameter because the
+    benchmark tracer (perfbench/tracing.py) reads it by name to tell cross
+    integrals apart.
+    """
     R = default_radius(d, k) if R is None else R
     truncated = store.current().enclosure("cross", integrate_cross_term, d, p, k, R, cfg)
     return truncated.with_tail(cross_tail_bound(d, p, k, R))
 
 
-def deficit_coefficients(
-    d: int, p: float, k: int, R: float | None = None, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> DeficitCoefficients:
+def deficit_coefficients(d: int, p: float, k: int, R: float | None = None) -> DeficitCoefficients:
     """Quadratic deficit coefficients for degree k >= 1 under worst-case ends.
 
     The real-part group carries the sign flip (-1)^k of the degree; the
@@ -80,8 +83,8 @@ def deficit_coefficients(
     """
     if k < 1:
         raise ValueError(f"deficit coefficients are defined for k >= 1, got {k}")
-    m = cross_norm(d, p, k, R, cfg)
-    lam0p = lambda_power(NormKey(d, p, 0), R, cfg)
+    m = cross_norm(d, p, k, R)
+    lam0p = lambda_power(NormKey(d, p, 0), R)
     signed_group = lam0p.lower - (m.upper if k % 2 == 0 else -m.lower)
     modulus_group = lam0p.lower - m.upper
     return DeficitCoefficients(
@@ -93,11 +96,11 @@ def deficit_coefficients(
     )
 
 
-def _degree_zero_dominates(record: VerificationRecord, R: float | None, cfg: QuadConfig) -> bool:
+def _degree_zero_dominates(record: VerificationRecord, R: float | None) -> bool:
     """Certify L0 > Lk for every k >= 1 (norms.best_k with top degree zero),
     recording the split; on failure the record turns INCONCLUSIVE."""
     d, p = record.params["d"], record.params["p"]
-    result = best_k(d, p, 0, R, R, cfg)
+    result = best_k(d, p, 0, R, R)
     record.k_dominated_from = result.dominated_from
     if result.status is not Status.PASS:
         record.status = Status.INCONCLUSIVE
@@ -111,21 +114,19 @@ def _degree_zero_dominates(record: VerificationRecord, R: float | None, cfg: Qua
     return True
 
 
-def verify_holder_chain(
-    d: int, p: float, k: int, R: float | None = None, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> VerificationRecord:
+def verify_holder_chain(d: int, p: float, k: int, R: float | None = None) -> VerificationRecord:
     """Check M(k) < L0^(p-2) Lk^2 < L0^p with enclosure-separated strictness,
     where L0, Lk are the degree-0 and degree-k norms."""
     record = VerificationRecord(
         claim_id=ClaimId.HOLDER_CHAIN, params={"d": d, "p": p, "k": k}, status=Status.PASS
     )
-    if not _degree_zero_dominates(record, R, cfg):
+    if not _degree_zero_dominates(record, R):
         return record
 
-    m = cross_norm(d, p, k, R, cfg)
-    lam0 = lambda_finite(NormKey(d, p, 0), R, cfg).enclosure
-    lamk = lambda_finite(NormKey(d, p, k), R, cfg).enclosure
-    lam0p = lambda_power(NormKey(d, p, 0), R, cfg)
+    m = cross_norm(d, p, k, R)
+    lam0 = lambda_finite(NormKey(d, p, 0), R).enclosure
+    lamk = lambda_finite(NormKey(d, p, k), R).enclosure
+    lam0p = lambda_power(NormKey(d, p, 0), R)
     product = Enclosure(
         lam0.lower ** (p - 2.0) * lamk.lower**2,
         lam0.upper ** (p - 2.0) * lamk.upper**2,
@@ -144,9 +145,7 @@ def verify_holder_chain(
     return record
 
 
-def verify_second_order_positivity(
-    d: int, p: float, K: int, R: float | None = None, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> VerificationRecord:
+def verify_second_order_positivity(d: int, p: float, K: int, R: float | None = None) -> VerificationRecord:
     """Check positivity of both quadratic coefficient groups for k = 1..K.
 
     Degree zero is excluded: there the perturbation renormalizes the constant
@@ -158,7 +157,7 @@ def verify_second_order_positivity(
         status=Status.PASS,
         k_explicit=K,
     )
-    if not _degree_zero_dominates(record, R, cfg):
+    if not _degree_zero_dominates(record, R):
         return record
     record.notes.append("first-order vanishing assumed (constants are critical points)")
     record.notes.append(
@@ -167,7 +166,7 @@ def verify_second_order_positivity(
     )
 
     for k in range(1, K + 1):
-        coeffs = deficit_coefficients(d, p, k, R, cfg)
+        coeffs = deficit_coefficients(d, p, k, R)
         record.add(f"coefficients at k={k}", coeffs)
         if not (coeffs.modulus_group > 0.0 and coeffs.combined_group > 0.0):
             record.status = Status.INCONCLUSIVE

@@ -11,14 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import store
-from .quadrature import (
-    DEFAULT_QUAD_CONFIG,
-    Enclosure,
-    QuadConfig,
-    integrate_weighted_power,
-    tail_bound,
-    zero_order_tail_bound,
-)
+from .quadrature import Enclosure, integrate_weighted_power, tail_bound, zero_order_tail_bound
 from .specfun import (
     MAX_TWICE_NU,
     BesselOrder,
@@ -126,27 +119,23 @@ def _tail_for(key: NormKey, R: float) -> float:
     return tail_bound(key.d, key.p, key.k, R)
 
 
-def truncated_power(key: NormKey, R: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> Enclosure:
+def truncated_power(key: NormKey, R: float) -> Enclosure:
     """The stored integral of the p-th power on [0, R], without its tail."""
-    return store.current().enclosure("power", integrate_weighted_power, key.d, key.p, key.k, R, cfg)
+    return store.current().enclosure("power", integrate_weighted_power, key.d, key.p, key.k, R)
 
 
-def lambda_power(
-    key: NormKey, R: float | None = None, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> Enclosure:
+def lambda_power(key: NormKey, R: float | None = None) -> Enclosure:
     """Enclosure of the p-th power of the norm: truncated integral plus tail."""
     if key.is_sup:
         raise SpecfunDomainError("lambda_power needs a finite exponent")
     R = default_radius(key.d, key.k) if R is None else R
-    return truncated_power(key, R, cfg).with_tail(_tail_for(key, R))
+    return truncated_power(key, R).with_tail(_tail_for(key, R))
 
 
-def lambda_finite(
-    key: NormKey, R: float | None = None, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> NormValue:
+def lambda_finite(key: NormKey, R: float | None = None) -> NormValue:
     """The finite-p norm as an enclosure (p-th root of the power enclosure)."""
     R = default_radius(key.d, key.k) if R is None else R
-    power = lambda_power(key, R, cfg)
+    power = lambda_power(key, R)
     return NormValue(key=key, enclosure=power.powered(1.0 / key.p), R_used=R, method=Method.QUADRATURE_TAIL)
 
 
@@ -283,14 +272,7 @@ class BestKResult:
     notes: list = field(default_factory=list)
 
 
-def best_k(
-    d: int,
-    p: float,
-    top: int,
-    R_top: float | None = None,
-    R: float | None = None,
-    cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
-) -> BestKResult:
+def best_k(d: int, p: float, top: int, R_top: float | None = None, R: float | None = None) -> BestKResult:
     """Certify that degree `top` has the largest norm among all degrees k >= top.
 
     1. Enclose the p-th power of degree `top` on [0, R_top] plus tail; its
@@ -305,7 +287,7 @@ def best_k(
     lo_strip, hi_strip = validity_strip(d)
     if not lo_strip < p < hi_strip:
         raise SpecfunDomainError(f"best_k needs p inside the U-bound strip ({lo_strip}, {hi_strip})")
-    top_power = lambda_power(NormKey(d, p, top), R_top, cfg)
+    top_power = lambda_power(NormKey(d, p, top), R_top)
     bar = top_power.lower
     k_dom = top + 1
     while (u_dom := upper_bound_U(d, p, k_dom)) >= bar:
@@ -317,7 +299,7 @@ def best_k(
         k_dom += 1
     result = BestKResult(d=d, p=p, top_power=top_power, dominated_from=k_dom, u_dominated=u_dom)
     for k in range(top + 1, k_dom):
-        power = lambda_power(NormKey(d, p, k), R, cfg)
+        power = lambda_power(NormKey(d, p, k), R)
         result.explicit.append((k, power))
         if not power.upper < bar:
             result.status = Status.INCONCLUSIVE

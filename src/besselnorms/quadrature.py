@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .specfun import BesselOrder, SpecfunDomainError, bessel_j, bessel_zeros, check_admissible, log_gamma
+from .specfun import MAX_ARGUMENT, BesselOrder, SpecfunDomainError, bessel_j, bessel_zeros, check_admissible, log_gamma
 
 __all__ = [
     "Enclosure",
@@ -128,8 +128,8 @@ DEFAULT_QUAD_CONFIG = QuadConfig()
 
 def _check_weighted_preconditions(d: int, p: float, k: int, R: float) -> None:
     check_admissible(d, k, p)
-    if R <= 0:
-        raise SpecfunDomainError(f"truncation radius must be positive, got {R}")
+    if not 0 < R <= MAX_ARGUMENT:
+        raise SpecfunDomainError(f"truncation radius must lie in (0, MAX_ARGUMENT={MAX_ARGUMENT}], got {R}")
 
 
 def _zero_degree_amplitude(d: int, r: np.ndarray) -> np.ndarray:

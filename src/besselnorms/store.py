@@ -1,5 +1,5 @@
-"""The one result store: truncated integrals, held in memory and, for CLI
-runs, mirrored to a JSON file.
+"""The one result store: truncated integrals, held in memory and, when a
+CLI run names a file with --cache, mirrored to that JSON file.
 
 An entry is keyed by its full identity: kind ("power" or "cross"), d, p, k,
 the resolved radius R and QuadConfig.key().  Only the truncated integral on
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .quadrature import Enclosure, QuadConfig
+from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig
 
 __all__ = ["ResultCache", "current", "using"]
 
@@ -87,7 +87,7 @@ class ResultCache:
         p: float,
         k: int,
         R: float,
-        cfg: QuadConfig,
+        cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
     ) -> Enclosure:
         """The stored truncated integral; compute(d, p, k, R, cfg) on a miss."""
         key = _entry_key(kind, d, p, k, R, cfg)
@@ -97,15 +97,6 @@ class ResultCache:
             self.data[key] = [enc.lower, enc.upper, enc.truncation_bound, enc.quad_error_bound]
             self.dirty = True
         return enc
-
-    def clear(self) -> None:
-        self.data = {}
-        self.dirty = False
-        if self.path is not None:
-            try:
-                self.path.unlink(missing_ok=True)
-            except OSError:
-                pass
 
 
 _current = ResultCache()

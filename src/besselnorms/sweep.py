@@ -28,7 +28,6 @@ from .norms import (
     lower_bound_L0,
     stein_tomas_exponent,
 )
-from .quadrature import DEFAULT_QUAD_CONFIG, QuadConfig
 
 __all__ = ["Regime", "SweepResult", "p0_report"]
 
@@ -104,7 +103,7 @@ def _sweep(d, regime, grid, low, high, limit_margin=None) -> SweepResult:
     return SweepResult(d, regime, grid, margins, threshold, THRESHOLDS[d], limit_margin)
 
 
-def p0_report(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFIG) -> tuple[float | None, list[SweepResult]]:
+def p0_report(d: int, step: float = 0.01) -> tuple[float | None, list[SweepResult]]:
     """Combined certified threshold for one dimension, with the sweeps used.
 
     Step 1 runs on [anchor, _P_LIMIT_SWITCH] and compares the limits beyond.
@@ -118,10 +117,10 @@ def p0_report(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFIG)
     grid1 = _grid(6.0 if d == 2 else 4.0, _P_LIMIT_SWITCH, step)
     if d == 2:
         # the sixth power at degree zero, with its 1/3 degree-domination constant
-        anchor = (6.0, (lambda_power(NormKey(2, 6.0, 0), cfg=cfg).upper / 3.0) ** (1.0 / 6.0))
+        anchor = (6.0, (lambda_power(NormKey(2, 6.0, 0)).upper / 3.0) ** (1.0 / 6.0))
     else:
         # the fourth power at degree one, upper estimate on [0, 40] plus tail
-        anchor = (4.0, lambda_power(NormKey(d, 4.0, 1), R=40.0, cfg=cfg).upper ** 0.25)
+        anchor = (4.0, lambda_power(NormKey(d, 4.0, 1), R=40.0).upper ** 0.25)
     sup1 = lambda_sup(d, 1).enclosure.upper
     regime = Regime.D2_SIX_INF if d == 2 else Regime.STEP1_FOUR_INF
     res1 = _sweep(d, regime, grid1, anchor, (math.inf, sup1), lambda_sup_zero_closed(d) - sup1)
@@ -132,7 +131,7 @@ def p0_report(d: int, step: float = 0.01, cfg: QuadConfig = DEFAULT_QUAD_CONFIG)
         grid2 = _grid(4.0, pst, step)
         if abs(grid2[-1] - pst) > 1e-12:
             grid2.append(pst)
-        endpoint = (pst, lambda_power(NormKey(d, pst, 1), R=50.0, cfg=cfg).upper ** (1.0 / pst))
+        endpoint = (pst, lambda_power(NormKey(d, pst, 1), R=50.0).upper ** (1.0 / pst))
         res2 = _sweep(d, Regime.STEP2_PST_FOUR, grid2[::-1], endpoint, anchor)
         results.append(res2)
         if threshold is not None and threshold <= 4.0:

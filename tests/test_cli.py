@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -149,6 +148,30 @@ class TestOutsideInputs:
         assert code == 2 and captured.out == ""
         assert "no domination degree for d=3, p=3.21" in captured.err
 
+    @pytest.mark.parametrize("claim", ["holder-chain", "local-coefficients"])
+    def test_dimension_one_exits_2(self, capsys, cache_file, claim):
+        # the default exponent p_st(1) divides by d - 1, so the dimension is checked first
+        code = main(["verify", claim, "--d", "1", "--cache", cache_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "need d >= 2" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--d", "3", "--p", "4", "--k", "1", "--R", "inf"),
+            ("norm", "--d", "3", "--p", "4", "--k", "1", "--R", "nan"),
+            ("norm", "--d", "3", "--p", "4", "--k", "1", "--R", "1e300"),
+            ("verify", "holder-chain", "--d", "3", "--p", "4", "--k", "1", "--R", "inf"),
+        ],
+        ids=["norm-inf", "norm-nan", "norm-1e300", "holder-chain-inf"],
+    )
+    def test_radius_beyond_the_argument_limit_exits_2(self, capsys, cache_file, argv):
+        code = main([*argv, "--cache", cache_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "truncation radius must lie in (0, MAX_ARGUMENT=1000.0]" in captured.err
+
     def test_sweep_certifying_nothing_fails(self, capsys, cache_file):
         code, report = run_json(capsys, "sweep", "--d", "10", "--step", "100", "--cache", cache_file)
         assert code == 1 and report["status"] == "FAIL"
@@ -290,7 +313,7 @@ class TestCache:
         assert code == 0
         assert report["status"] == "PASS"
 
-    def test_other_engine_version_or_precision_is_never_returned(self, capsys, cache_file, monkeypatch):
+    def test_other_engine_version_is_never_returned(self, capsys, cache_file, monkeypatch):
         args = ("norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
         _, fresh = run_json(capsys, *args)
         (key,) = json.loads(Path(cache_file).read_text())["entries"]
@@ -304,10 +327,12 @@ class TestCache:
         _, again = run_json(capsys, *args)
         assert len(integrals) == 1
         assert again["entries"] == fresh["entries"]
-        # the standard-precision entry is not served to another profile
-        run_json(capsys, *args, "--precision", "fast")
-        assert len(integrals) == 2
-        assert len(json.loads(Path(cache_file).read_text())["entries"]) == 2
+
+    def test_entry_key_is_pinned(self, capsys, cache_file):
+        # repr(("power", d, p, k, R, QuadConfig().key())): a file written by 0.3.0 stays valid
+        run_json(capsys, "norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
+        (key,) = json.loads(Path(cache_file).read_text())["entries"]
+        assert key == "('power', 4, 4.0, 1, 40.0, (1.5707963267948966, 16, 8, 1e-11, 12))"
 
     def test_file_from_engine_0_1_0_is_discarded(self, cache_file):
         # 0.1.0 stored the (d=5, p=3) cross integrals without edges at the zeros,
@@ -363,28 +388,36 @@ class TestCache:
         assert code == 0
         assert cross_integrals == []
 
-    def test_env_var_default_path(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "env-cache.json"
-        monkeypatch.setenv("BESSELNORMS_CACHE", str(path))
+    def test_no_file_without_cache_flag(self, capsys, tmp_path, monkeypatch):
+        # neither the home directory nor the former environment variable names a default file
+        home, env = tmp_path / "home", tmp_path / "env"
+        home.mkdir(), env.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("BESSELNORMS_CACHE", str(env / "results.json"))
         code, _ = run_json(capsys, "norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40")
         assert code == 0
-        assert path.exists()
+        assert list(home.iterdir()) == list(env.iterdir()) == []
 
-    def test_clear(self, capsys, cache_file):
-        run_json(capsys, "norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
-        code, out = run(capsys, "cache", "clear", "--cache", cache_file)
-        assert code == 0
-        assert "cache cleared" in out
-        assert not os.path.exists(cache_file)
+    @pytest.mark.parametrize(
+        "argv",
+        [("cache", "clear"), ("norm", "--d", "3", "--p", "4", "--k", "1", "--precision", "fast")],
+        ids=["cache-clear", "precision"],
+    )
+    def test_removed_knobs_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestReportConfig:
     def test_digest_ignores_output_format(self, capsys, cache_file):
         args = ("norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
-        _, standard = run_json(capsys, *args)
-        _, fast = run_json(capsys, *args, "--precision", "fast")
-        config = dict(standard["config"])
+        _, default = run_json(capsys, *args)
+        _, wider = run_json(capsys, *args, "--R", "50")
+        config = dict(default["config"])
+        assert "precision" not in config
         assert config.pop("output_format") == "json"
         canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-        assert standard["config_digest"] == hashlib.sha256(canonical.encode()).hexdigest()
-        assert fast["config_digest"] != standard["config_digest"]
+        assert default["config_digest"] == hashlib.sha256(canonical.encode()).hexdigest()
+        assert wider["config_digest"] != default["config_digest"]

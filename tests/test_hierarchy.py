@@ -1,5 +1,6 @@
 import pytest
 
+import besselnorms.hierarchy as hierarchy
 import besselnorms.norms as norms
 from besselnorms.hierarchy import (
     ClaimId,
@@ -8,7 +9,7 @@ from besselnorms.hierarchy import (
     verify_pst,
     verify_sup_monotone,
 )
-from besselnorms.norms import Status, best_k, upper_bound_U
+from besselnorms.norms import NormKey, Status, best_k, upper_bound_U
 from besselnorms.quadrature import Enclosure
 from besselnorms.specfun import SpecfunDomainError
 
@@ -89,11 +90,23 @@ class TestPstHierarchy:
         assert record.k_dominated_from == PST_DOMINATION_SPLIT[d]
 
     @pytest.mark.parametrize("d", [4, 5])
-    def test_low_dimensions_note_external_acceptance(self, d):
+    def test_low_dimensions_gate_the_degree_zero_step(self, d):
+        # degree one against degree zero is checked here as for d >= 6, not taken on trust
         record = verify_pst(d)
-        assert any("accepted externally" in note for note in record.notes)
-        # the recomputation must nonetheless separate the degrees
-        assert any("holds" in note for note in record.notes)
+        assert record.status is Status.PASS
+        assert not any("accepted externally" in note for note in record.notes)
+        witnesses = dict(record.witnesses)
+        assert witnesses["degree-1 power on [0,50] + tail"].upper < witnesses["degree-0 power on [0,50] + tail"].lower
+
+    def test_degree_zero_below_degree_one_is_inconclusive(self, monkeypatch):
+        # only the degree-zero step reads hierarchy.lambda_power; best_k reads norms'
+        def lowered(key, R=None):
+            return Enclosure.point(0.999 * norms.lambda_power(NormKey(key.d, key.p, 1), R).upper)
+
+        monkeypatch.setattr(hierarchy, "lambda_power", lowered)
+        record = verify_pst(4)
+        assert record.status is Status.INCONCLUSIVE
+        assert any(note.startswith("degree 1 vs degree 0") for note in record.notes)
 
     def test_domain(self):
         with pytest.raises(ValueError):

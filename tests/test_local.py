@@ -29,10 +29,10 @@ def degree_one_overlaps_zero(monkeypatch):
     the lower end of the degree-zero power."""
     original = norms.lambda_power
 
-    def widened(key, R=None, cfg=norms.DEFAULT_QUAD_CONFIG):
-        enc = original(key, R, cfg)
+    def widened(key, R=None):
+        enc = original(key, R)
         if key.k == 1:
-            return enc.with_tail(original(NormKey(key.d, key.p, 0), R, cfg).lower)
+            return enc.with_tail(original(NormKey(key.d, key.p, 0), R).lower)
         return enc
 
     monkeypatch.setattr(norms, "lambda_power", widened)

@@ -415,6 +415,18 @@ class TestIntegrateWeightedPower:
         with pytest.raises(SpecfunDomainError):
             integrate_weighted_power(3, 4.0, 1, 1500.0)  # beyond MAX_ARGUMENT
 
+    @pytest.mark.parametrize("integrate", [integrate_weighted_power, integrate_cross_term])
+    @pytest.mark.parametrize("R", [math.inf, math.nan, 1e300, MAX_ARGUMENT + 1.0])
+    def test_radius_checked_before_zeros_or_panels(self, monkeypatch, integrate, R):
+        # p = 3 at d = 5 is not even, so a valid radius would start a zero search
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past the radius check")
+
+        monkeypatch.setattr(quadrature, "bessel_zeros", unreachable)
+        monkeypatch.setattr(quadrature, "panel_integrate", unreachable)
+        with pytest.raises(SpecfunDomainError, match=r"truncation radius must lie in \(0, MAX_ARGUMENT"):
+            integrate(5, 3.0, 1, R)
+
     def test_every_p4_golden_entry_is_frozen(self):
         keys = {(d, 1, 40.0) for d in golden.P4_TRUNCATED_40_K1}
         keys |= {(d, k, 200.0) for d, k in golden.P4_TRUNCATED_200}
