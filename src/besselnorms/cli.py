@@ -260,6 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _radius(args) -> float | None:
+    """--R as the command reads it: None for verify p4, pst and sup-monotone
+    and for norm --p inf, which accept --R and ignore it."""
+    if args.command == "norm" and not math.isinf(_parse_p(args.p)):
+        return args.R
+    if args.command == "verify" and args.claim in ("holder-chain", "local-coefficients"):
+        return args.R
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; build, print and score its report."""
     args = build_parser().parse_args(argv)
@@ -274,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         cache.save()
     status = "PASS" if all(e["status"] == "PASS" for e in entries) else "FAIL"
     # the output format does not affect computed values, so the digest leaves it out
-    config = {"radius": getattr(args, "R", None), "grid_step": getattr(args, "step", 0.01)}
+    config = {"radius": _radius(args), "grid_step": getattr(args, "step", 0.01)}
     report = {
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),

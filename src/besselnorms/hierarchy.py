@@ -60,13 +60,14 @@ class VerificationRecord:
 
 
 def verify_sup_monotone(d: int, K: int) -> VerificationRecord:
-    """Check that the sup norms strictly decrease in the degree, 0..K."""
+    """Check that the sup norms strictly decrease in the degree, 0..K, all
+    computed by one lambda_sup batch."""
     record = VerificationRecord(
         claim_id=ClaimId.SUP_MONOTONE, params={"d": d, "K": K}, status=Status.PASS, k_explicit=K
     )
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
-    values = [lambda_sup(d, k) for k in range(K + 1)]
+    values = lambda_sup(d, range(K + 1))
     for k, nv in enumerate(values):
         record.add(f"sup norm (d={d}, k={k})", nv)
     for k in range(1, K + 1):

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from . import store
 from .quadrature import Enclosure, integrate_weighted_power, tail_bound, zero_order_tail_bound
 from .specfun import (
@@ -146,8 +148,10 @@ def lambda_sup_zero_closed(d: int) -> float:
     return math.exp((1.0 - d / 2.0) * math.log(2.0) - log_gamma(d / 2.0))
 
 
-def lambda_sup(d: int, k: int) -> NormValue:
-    """The sup norm: closed form for degree zero, critical point otherwise.
+def lambda_sup(d: int, k):
+    """The sup norm of one degree k (a NormValue out) or of a sequence of
+    degrees (a list out): closed form for degree zero, critical point
+    otherwise, all positive degrees in one sup_critical_point batch.
 
     For k >= 1, f(r) = r^(1-d/2) J_nu(r), nu = d/2 - 1 + k, peaks at the first
     critical point r* (first sign change of k J_nu - r J_{nu+1}), because:
@@ -159,19 +163,26 @@ def lambda_sup(d: int, k: int) -> NormValue:
     Only the premise is checked at runtime: J_nu(r*) > 0 and r* below
     first_zero_estimate(nu) < j_{nu,2}, so r* lies in the first lobe.
     """
-    key = NormKey(d, INFINITY, k)
-    if k == 0:
-        value = lambda_sup_zero_closed(d)
-        return NormValue(key=key, enclosure=Enclosure.point(value), R_used=0.0, method=Method.CLOSED_FORM)
-    r_star = sup_critical_point(d, k)
-    order = BesselOrder.from_dim_degree(d, k)
-    j_star = bessel_j(order, r_star)
-    if not (j_star > 0.0 and r_star < first_zero_estimate(order.nu)):
-        raise RootBracketError(f"critical point r*={r_star} is not in the first lobe of J_{order.nu}")
-    value = j_star * r_star ** (1.0 - d / 2.0)
-    slack = 1e-11 * value
-    enc = Enclosure(value - slack, value + slack, truncation_bound=slack)
-    return NormValue(key=key, enclosure=enc, R_used=r_star, method=Method.CRITICAL_POINT)
+    keys = [NormKey(d, INFINITY, kk) for kk in ([k] if np.ndim(k) == 0 else k)]
+    positive = [key.k for key in keys if key.k > 0]
+    if positive:
+        r_stars = sup_critical_point(d, positive)
+        j_stars = bessel_j(np.array([d - 2 + 2 * kk for kk in positive]), r_stars)
+        peaks = zip(r_stars.tolist(), j_stars.tolist())
+    values = []
+    for key in keys:
+        if key.k == 0:
+            value = lambda_sup_zero_closed(d)
+            values.append(NormValue(key=key, enclosure=Enclosure.point(value), R_used=0.0, method=Method.CLOSED_FORM))
+            continue
+        r_star, j_star = next(peaks)
+        if not (j_star > 0.0 and r_star < first_zero_estimate(key.nu)):
+            raise RootBracketError(f"critical point r*={r_star} is not in the first lobe of J_{key.nu}")
+        value = j_star * r_star ** (1.0 - d / 2.0)
+        slack = 1e-11 * value
+        enc = Enclosure(value - slack, value + slack, truncation_bound=slack)
+        values.append(NormValue(key=key, enclosure=enc, R_used=r_star, method=Method.CRITICAL_POINT))
+    return values[0] if np.ndim(k) == 0 else values
 
 
 def lambda4_zero(d: int) -> float:
@@ -247,13 +258,22 @@ def upper_bound_U(d: int, p: float, k: int) -> float:
     )
 
 
-def lower_bound_L0(d: int, p: float) -> float:
-    """Strict lower bound on the degree-zero norm at exponent p."""
-    check_admissible(d, p=p)
-    log_prefactor = ((d - 1) * math.log(2.0) + (d / 2.0) * math.log(d / 2.0)) / p
-    log_prefactor -= (d / 2.0 - 1.0) * math.log(2.0) + log_gamma(d / 2.0)
-    log_ratio = (log_gamma(p + 1.0) + log_gamma(d / 2.0) - log_gamma(p + d / 2.0 + 1.0)) / p
-    return math.exp(log_prefactor + log_ratio)
+def lower_bound_L0(d: int, p):
+    """Strict lower bound on the degree-zero norm at exponent p, a float (a
+    float out) or an array (an array out; every exponent must be admissible).
+
+    numpy has no lgamma, so math.lgamma runs per point; the rest is one
+    array expression.
+    """
+    exps = np.atleast_1d(np.asarray(p, dtype=float))
+    check_admissible(d, p=float(np.min(exps)))
+    lg_half = log_gamma(d / 2.0)
+    log_prefactor = ((d - 1) * math.log(2.0) + (d / 2.0) * math.log(d / 2.0)) / exps
+    log_prefactor -= (d / 2.0 - 1.0) * math.log(2.0) + lg_half
+    log_ratio = np.array([math.lgamma(x + 1.0) + lg_half - math.lgamma(x + d / 2.0 + 1.0) for x in exps.tolist()])
+    log_ratio /= exps
+    bound = np.exp(log_prefactor + log_ratio)
+    return float(bound[0]) if np.ndim(p) == 0 else bound
 
 
 @dataclass

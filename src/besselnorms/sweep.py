@@ -11,6 +11,10 @@ between the Stein-Tomas endpoint p_st(d) and p = 4.
 
 All upper bounds use enclosure upper ends and all lower bounds the closed
 form, so a positive margin cannot be an artifact of optimistic rounding.
+
+A grid is one array: its points come from np.arange and np.round, and its
+margins from one array expression over lower_bound_L0 of the whole grid.
+SweepResult keeps the grid and the margins as lists.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .golden import THRESHOLDS
 from .norms import (
@@ -60,15 +66,9 @@ class SweepResult:
 
 def _threshold_from_grid(p_grid, margins) -> float | None:
     """Smallest grid exponent from which every later margin stays positive."""
-    last_bad = None
-    for i, m in enumerate(margins):
-        if m <= _MARGIN_FLOOR:
-            last_bad = i
-    if last_bad is None:
-        return p_grid[0]
-    if last_bad + 1 >= len(p_grid):
-        return None
-    return p_grid[last_bad + 1]
+    bad = np.flatnonzero(np.asarray(margins) <= _MARGIN_FLOOR)
+    first = bad[-1] + 1 if bad.size else 0
+    return p_grid[first] if first < len(p_grid) else None
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
@@ -77,14 +77,10 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"need a finite grid step > 0, got {step}")
     descending = stop < start
-    grid = []
-    n = 0
-    while True:
-        p = round(start - n * step if descending else start + n * step, 12)
-        if (p < stop - 1e-12) if descending else (p > stop + 1e-12):
-            return grid
-        grid.append(p)
-        n += 1
+    # one point past stop, which the filter drops
+    n = np.arange(int((abs(stop - start) + 1e-12) / step) + 2)
+    grid = np.round(start - n * step if descending else start + n * step, 12)
+    return grid[(grid >= stop - 1e-12) if descending else (grid <= stop + 1e-12)].tolist()
 
 
 def _sweep(d, regime, grid, low, high, limit_margin=None) -> SweepResult:
@@ -92,11 +88,9 @@ def _sweep(d, regime, grid, low, high, limit_margin=None) -> SweepResult:
     between the anchors low = (p0, n0) and high = (p1, n1), norm upper ends;
     a limit margin at or below the floor voids the threshold."""
     (p0, n0), (p1, n1) = low, high
-    inv_p0, inv_span = 1.0 / p0, 1.0 / p0 - 1.0 / p1
-    margins = []
-    for p in grid:
-        t = (inv_p0 - 1.0 / p) / inv_span
-        margins.append(lower_bound_L0(d, p) - n0 ** (1.0 - t) * n1**t)
+    p = np.array(grid)
+    t = (1.0 / p0 - 1.0 / p) / (1.0 / p0 - 1.0 / p1)
+    margins = (lower_bound_L0(d, p) - n0 ** (1.0 - t) * n1**t).tolist()
     threshold = _threshold_from_grid(grid, margins)
     if limit_margin is not None and limit_margin <= _MARGIN_FLOOR:
         threshold = None

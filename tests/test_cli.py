@@ -91,6 +91,13 @@ class TestVerifyCommand:
         assert code == 0
         assert report["entries"][0]["k_dominated_from"] == 4
 
+    def test_sup_monotone_past_the_order_limit_exits_2(self, capsys, cache_file):
+        # degree 60 at d = 10 needs 2 nu = 128 > MAX_TWICE_NU; the batch is rejected whole
+        code = main(["verify", "sup-monotone", "--d", "10", "--K", "60", "--cache", cache_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "exceeds MAX_TWICE_NU" in captured.err
+
     def test_sup_monotone_beyond_published_range_notes_extension(self, capsys, cache_file):
         code, report = run_json(
             capsys, "verify", "sup-monotone", "--d", "11", "--K", "3", "--cache", cache_file
@@ -421,3 +428,20 @@ class TestReportConfig:
         canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
         assert default["config_digest"] == hashlib.sha256(canonical.encode()).hexdigest()
         assert wider["config_digest"] != default["config_digest"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "p4", "--d", "3"),
+            ("verify", "pst", "--d", "4"),
+            ("verify", "sup-monotone", "--d", "3", "--K", "4"),
+            ("norm", "--d", "3", "--p", "inf", "--k", "2"),
+        ],
+    )
+    def test_radius_a_command_never_reads_is_not_recorded(self, capsys, argv):
+        _, plain = run_json(capsys, *argv)
+        _, with_radius = run_json(capsys, *argv, "--R", "5")
+        assert plain["config"]["radius"] is None
+        for report in (plain, with_radius):
+            report.pop("timestamp")
+        assert with_radius == plain

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.special import jv
 
@@ -30,6 +31,7 @@ from besselnorms.norms import (
 )
 from besselnorms.quadrature import Enclosure
 from besselnorms.specfun import BesselOrder, RootBracketError, SpecfunDomainError, first_zero_estimate
+from besselnorms.sweep import p0_report
 
 from oracles import simpson_weighted_power, sup_scan_max
 
@@ -224,9 +226,25 @@ class TestSupNorms:
     @pytest.mark.parametrize("r_star", [4.0, 8.5])
     def test_critical_point_outside_first_lobe_is_rejected(self, monkeypatch, r_star):
         # J_1 < 0 at 4.0 (second lobe); J_1 > 0 at 8.5 (third lobe)
-        monkeypatch.setattr(norms, "sup_critical_point", lambda d, k: r_star)
+        monkeypatch.setattr(norms, "sup_critical_point", lambda d, degrees: np.full(len(degrees), r_star))
         with pytest.raises(RootBracketError):
             lambda_sup(2, 1)
+        with pytest.raises(RootBracketError):
+            lambda_sup(2, range(3))
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 12])
+    def test_batch_equals_degrees_one_by_one(self, monkeypatch, d):
+        searches = []
+        original = norms.sup_critical_point
+        monkeypatch.setattr(norms, "sup_critical_point", lambda d, ks: searches.append(list(ks)) or original(d, ks))
+        batch = lambda_sup(d, range(31))
+        # one search for every positive degree; degree zero is the closed form
+        assert searches == [list(range(1, 31))]
+        assert isinstance(batch, list) and len(batch) == 31
+        assert batch == [lambda_sup(d, k) for k in range(31)]
+        assert all(type(nv.R_used) is float for nv in batch)
+        # degree zero alone needs no search
+        assert lambda_sup(d, [0]) == [lambda_sup(d, 0)] and len(searches) == 31
 
     def test_order_beyond_accuracy_limit_rejected(self, monkeypatch):
         # 2 nu = 1 + 2 * 60 = 121 exceeds MAX_TWICE_NU = 120; the order is
@@ -305,6 +323,32 @@ class TestLowerBoundL0:
     def test_domain(self):
         with pytest.raises(SpecfunDomainError):
             lower_bound_L0(3, 3.0)
+
+    @pytest.mark.parametrize("bad", [3.0, 2.5, math.nan])
+    def test_any_inadmissible_exponent_in_an_array_raises(self, bad):
+        with pytest.raises(SpecfunDomainError):
+            lower_bound_L0(3, np.array([4.0, bad, 5.0]))
+
+    def test_float_in_float_out(self):
+        assert type(lower_bound_L0(3, 4.0)) is float
+        assert type(lower_bound_L0(3, 4)) is float
+        got = lower_bound_L0(3, np.array([4.0, 5.0]))
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_array_within_two_ulp_of_scalar_on_the_sweep_grids(self, d):
+        def scalar(p):
+            # the bound point by point in math's float functions
+            log_prefactor = ((d - 1) * math.log(2.0) + (d / 2.0) * math.log(d / 2.0)) / p
+            log_prefactor -= (d / 2.0 - 1.0) * math.log(2.0) + math.lgamma(d / 2.0)
+            log_ratio = (math.lgamma(p + 1.0) + math.lgamma(d / 2.0) - math.lgamma(p + d / 2.0 + 1.0)) / p
+            return math.exp(log_prefactor + log_ratio)
+
+        for res in p0_report(d)[1]:
+            want = np.array([scalar(p) for p in res.p_grid])
+            got = lower_bound_L0(d, np.array(res.p_grid))
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(want)), res.regime
+            assert [lower_bound_L0(d, p) for p in res.p_grid] == got.tolist()
 
 
 class TestBestK:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+import besselnorms.specfun as specfun
 from besselnorms.specfun import (
     MAX_TWICE_NU,
     BesselOrder,
@@ -71,6 +72,37 @@ class TestBesselJ:
             bessel_j(BesselOrder(3), np.array([-1.0, 1.0]))
         with pytest.raises(SpecfunDomainError):
             bessel_j(BesselOrder(MAX_TWICE_NU + 1), r)
+
+    def test_order_array_matches_single_orders(self):
+        # one call, every order at every point by broadcasting
+        twice_nu = np.array([[0], [1], [3], [8], [MAX_TWICE_NU]])
+        r = np.array([0.0, 1e-3, 0.5, 3.0, 40.0, 999.0])
+        got = bessel_j(twice_nu, r)
+        assert got.shape == (5, 6)
+        for row, t in zip(got, twice_nu[:, 0]):
+            assert list(row) == [bessel_j(BesselOrder(int(t)), float(x)) for x in r]
+        # paired orders and points, as the critical-point search calls it
+        assert list(bessel_j(np.array([3, 5]), np.array([2.0, 7.0]))) == [
+            bessel_j(BesselOrder(3), 2.0),
+            bessel_j(BesselOrder(5), 7.0),
+        ]
+
+    @pytest.mark.parametrize(
+        "twice_nu, r",
+        [
+            ([3, MAX_TWICE_NU + 1], [1.0, 1.0]),
+            ([3, -1], [1.0, 1.0]),
+            (np.array([1.5, 3.0]), [1.0, 1.0]),
+            ([3, 5], [-1.0, 1.0]),
+            ([3, 5], [1.0, 1500.0]),
+        ],
+    )
+    def test_order_array_is_checked(self, monkeypatch, twice_nu, r):
+        calls = []
+        monkeypatch.setattr(specfun, "jv", lambda *a: calls.append(a) or jv(*a))
+        with pytest.raises(SpecfunDomainError):
+            bessel_j(np.asarray(twice_nu), np.asarray(r))
+        assert calls == []
 
     @pytest.mark.parametrize("twice_nu", [1, 3])
     def test_half_integer_closed_forms_on_range(self, twice_nu):
@@ -148,6 +180,22 @@ class TestLandauConstant:
         assert r ** (1 / 3) * abs(jv(1, r)) < landau_constant()
 
 
+def scalar_critical_point(d: int, k: int) -> float:
+    """One degree's bisection, point by point with scalar jv: the reference
+    for the batched search."""
+    nu = d / 2.0 - 1.0 + k
+    residual = lambda r: k * float(jv(nu, r)) - r * float(jv(nu + 1.0, r))
+    lo, hi = 1e-3, first_zero_lower_bound(nu)
+    assert residual(lo) > 0.0 > residual(hi)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if residual(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestSupCriticalPoint:
     def test_d2_reduces_to_j1_derivative_zero(self):
         r_star = sup_critical_point(2, 1)
@@ -173,6 +221,32 @@ class TestSupCriticalPoint:
             sup_critical_point(1, 1)
         with pytest.raises(SpecfunDomainError):
             sup_critical_point(3, 0)
+        with pytest.raises(SpecfunDomainError):
+            sup_critical_point(3, [2, 0, 1])
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_batch_equals_degrees_one_by_one(self, d):
+        degrees = range(1, 31)
+        batch = sup_critical_point(d, degrees)
+        assert isinstance(batch, np.ndarray) and batch.shape == (30,)
+        ones = [sup_critical_point(d, [k]) for k in degrees]
+        assert all(isinstance(one, np.ndarray) and one.shape == (1,) for one in ones)
+        singles = [sup_critical_point(d, k) for k in degrees]
+        assert all(type(single) is float for single in singles)
+        # bit for bit: each degree visits the midpoints of its own bisection
+        assert batch.tolist() == [one[0] for one in ones] == singles
+        assert singles == [scalar_critical_point(d, k) for k in degrees]
+
+    def test_order_past_the_limit_anywhere_in_a_batch_raises_first(self, monkeypatch):
+        # d = 3, k = 59 needs J_{nu+1} with 2 nu + 2 = 121 > MAX_TWICE_NU
+        calls = []
+        monkeypatch.setattr(specfun, "jv", lambda *a: calls.append(a) or jv(*a))
+        for degrees in ([59, 1, 2], [1, 2, 59], [1, 59, 2]):
+            with pytest.raises(SpecfunDomainError, match="exceeds MAX_TWICE_NU"):
+                sup_critical_point(3, degrees)
+        assert calls == []
+        sup_critical_point(3, [1, 2, 58])
+        assert len(calls) > 0
 
     def test_bracket_signs_on_every_admitted_pair(self):
         # d >= 2, k >= 1 and J_{nu+1} within the order limit: 2 nu + 2 = d + 2k

@@ -12,6 +12,7 @@ from besselnorms.sweep import (
     _MARGIN_FLOOR,
     Regime,
     SweepResult,
+    _grid,
     _threshold_from_grid,
     p0_report,
 )
@@ -35,6 +36,29 @@ class TestThresholdFromGrid:
 
     def test_failure_at_the_end_means_no_threshold(self):
         assert _threshold_from_grid([4.0, 4.01], [1.0, -1.0]) is None
+
+
+def round_grid(start, stop, step):
+    """The grid point by point: round(start +- n step, 12) until past stop."""
+    descending = stop < start
+    grid, n = [], 0
+    while True:
+        p = round(start - n * step if descending else start + n * step, 12)
+        if (p < stop - 1e-12) if descending else (p > stop + 1e-12):
+            return grid
+        grid.append(p)
+        n += 1
+
+
+class TestGrid:
+    @pytest.mark.parametrize("step", [0.005, 0.01, 0.02, 0.05, 0.1, 100.0])
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_equals_point_by_point_rounding(self, d, step):
+        pst = stein_tomas_exponent(d)
+        for start, stop in [(4.0, 60.0), (6.0, 60.0), (4.0, pst), (pst, 4.0), (60.0, 4.0)]:
+            grid = _grid(start, stop, step)
+            assert grid == round_grid(start, stop, step), (start, stop)
+            assert all(type(p) is float for p in grid)
 
 
 class TestSweepD2:
