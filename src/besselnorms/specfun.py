@@ -118,29 +118,73 @@ def bessel_j(nu, r):
     return float(jv(nu.nu, r))
 
 
+def _newton_roots(evaluate, lo, hi, start, width):
+    """Roots of one function per bracket by safeguarded Newton, all brackets
+    together; returns the closed brackets (lo, hi).
+
+    Bracket i holds a sign change: its function is positive at lo[i] and not
+    positive at hi[i], and start[i] lies in [lo[i], hi[i]].  evaluate(i, r)
+    gives the values and derivatives of the brackets i at the points r, from
+    one bessel_j call.  Each round evaluates every open bracket at its
+    iterate, which replaces the bracket end of the same sign; a bracket no
+    wider than width[i] is closed.  The next iterate is the Newton step, or
+    the midpoint where that step leaves the bracket.  A step below width/2
+    is pushed width/4 on, so that this probe and the iterate bracket the
+    root; the push is at least one float.  Every iterate depends on its own
+    bracket's values only.
+    """
+    lo, hi, x = (np.array(a, dtype=float) for a in (lo, hi, start))
+    i = np.arange(x.size)
+    while i.size:
+        f, df = evaluate(i, x)
+        up = f > 0.0
+        lo[i] = np.where(up, x, lo[i])
+        hi[i] = np.where(up, hi[i], x)
+        keep = hi[i] - lo[i] > width[i]
+        i, x, f, df, up = i[keep], x[keep], f[keep], df[keep], up[keep]
+        a, b, w = lo[i], hi[i], width[i]
+        # a zero derivative gives a step that is not finite, hence the midpoint
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -f / df
+        # x is the end a if up, else b: the root lies on the side of toward
+        toward = np.where(up, 1.0, -1.0)
+        probe = x + toward * (np.maximum(toward * step, 0.0) + np.maximum(0.25 * w, np.spacing(x)))
+        x = np.where(np.abs(step) <= 0.5 * w, probe, x + step)
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+    return lo, hi
+
+
 def bessel_zeros(nu: BesselOrder, upto: float) -> np.ndarray:
-    """The zeros of J_nu in (0, upto), ascending, to within an ulp or so.
+    """The zeros of J_nu in (0, upto), ascending, each the midpoint of a
+    sign-change bracket at most 4 ulp wide.
 
     Consecutive zeros of J_nu, nu >= 0, lie more than 3 apart (the gap tends
     to pi, from below for nu < 1/2 and from above for nu > 1/2, and
     j_{0,1} ~ 2.405), so each cell of a grid with step at most pi/2 holds at
     most one zero, which shows as a sign change unless it falls on a grid
-    point.  All the brackets are bisected together until no midpoint falls
-    strictly inside its bracket; every value comes from bessel_j, at the
-    order nu only.
+    point.  Each cell's zero is found by safeguarded Newton from its
+    regula-falsi point, all cells together, with
+    J_nu' = (nu/r) J_nu - J_{nu+1}, or J_{nu-1} - (nu/r) J_nu where the
+    order nu + 1 is past MAX_TWICE_NU; every value comes from bessel_j.
     """
     grid = np.linspace(0.0, upto, max(1, math.ceil(upto / (math.pi / 2.0))) + 1)
     values = bessel_j(nu, grid)
     cells = np.flatnonzero(values[:-1] * values[1:] < 0.0)
     lo, hi = grid[cells], grid[cells + 1]
-    lo_sign = np.sign(values[cells])
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):
-            return mid
-        below = np.sign(bessel_j(nu, mid)) == lo_sign
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    f_lo, f_hi = values[cells], values[cells + 1]
+    sign = np.sign(f_lo)
+    shift = 1 if nu.twice_nu + 2 <= MAX_TWICE_NU else -1
+    orders = np.array([[nu.twice_nu], [nu.twice_nu + 2 * shift]])
+
+    def evaluate(i, r):
+        """sign * J_nu and sign * J_nu' at the points r of the cells i."""
+        # r once per order, so that the argument holds every evaluated point
+        j = bessel_j(orders, np.array([r, r]))
+        return sign[i] * j[0], sign[i] * shift * (nu.nu / r * j[0] - j[1])
+
+    start = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    lo, hi = _newton_roots(evaluate, lo, hi, start, 4.0 * np.spacing(lo))
+    return 0.5 * (lo + hi)
 
 
 def log_gamma(x: float) -> float:
@@ -182,41 +226,42 @@ def sup_critical_point(d: int, k):
     """Smallest r* > 0 where r^(1-d/2) J_nu(r), nu = d/2 - 1 + k, peaks, for
     one degree k (a float out) or a sequence of degrees (an array out).
 
-    Critical points solve k*J_nu(r) = r*J_{nu+1}(r).  The residual is positive
-    at r = 1e-3 and negative at first_zero_lower_bound(nu) < j_{nu,1}, so the
-    sign change lies in the first lobe, where it is unique (see lambda_sup);
-    it is bisected to 1e-12.  All the brackets are bisected together, one
-    bessel_j call for both orders of every open bracket per round, and a
-    bracket no wider than 1e-12 is left as it is: each degree visits the
-    midpoints of its own bisection, so a batch gives bit for bit the values
-    of its degrees one by one.  Every order is checked before any evaluation.
+    Critical points solve f(r) = k J_nu(r) - r J_{nu+1}(r) = 0.  The residual
+    is positive at r = 1e-3 and negative at first_zero_lower_bound(nu) <
+    j_{nu,1}, so the sign change lies in the first lobe, where it is unique
+    (see lambda_sup).  Safeguarded Newton, with
+    f'(r) = (k nu / r - r) J_nu(r) + (nu - k) J_{nu+1}(r) and starting at the
+    small-r root sqrt(2k(nu+1)) clipped into the bracket, narrows it until
+    f > 0 at lo, f <= 0 at hi and hi - lo <= 1e-12; r* is the midpoint.  All
+    the brackets are searched together, one bessel_j call for both orders of
+    every open bracket per round, and each bracket's iterates depend on its
+    own values only, so a batch gives bit for bit the values of its degrees
+    one by one.  Every order is checked before any evaluation.
     """
     degrees = np.atleast_1d(np.asarray(k))
     if degrees.size == 0 or np.min(degrees) < 1:
         raise SpecfunDomainError(f"need degrees k >= 1, got k={k}")
     orders = [BesselOrder.from_dim_degree(d, kk) for kk in degrees.tolist()]
+    nus = np.array([order.nu for order in orders])
     # the orders nu and nu + 1 of each degree, as 2 nu, one row each
     pair = np.array([[order.twice_nu for order in orders], [order.twice_nu + 2 for order in orders]])
 
-    def residual(i, r):
-        """k J_nu(r) - r J_{nu+1}(r) for the degrees degrees[i] at the points r."""
+    def evaluate(i, r):
+        """The residual and its derivative for the degrees degrees[i] at the points r."""
         # r once per order, so that the argument holds every evaluated point
         j = bessel_j(pair[:, i], np.array([r, r]))
-        return degrees[i] * j[0] - r * j[1]
+        kk, nu = degrees[i], nus[i]
+        return kk * j[0] - r * j[1], (kk * nu / r - r) * j[0] + (nu - kk) * j[1]
 
     n = len(orders)
     lo = np.full(n, 1e-3)
     hi = np.array([first_zero_lower_bound(order.nu) for order in orders])
-    ends = residual(np.tile(np.arange(n), 2), np.concatenate([lo, hi]))
+    ends, _ = evaluate(np.tile(np.arange(n), 2), np.concatenate([lo, hi]))
     bad = np.flatnonzero(~((ends[:n] > 0.0) & (ends[n:] < 0.0)))
     if bad.size:
         i = bad[0]
         raise RootBracketError(f"residual does not change sign on [{lo[i]}, {hi[i]}] for d={d}, k={degrees[i]}")
-    while (i := (hi - lo > 1e-12).nonzero()[0]).size:
-        lo_i, hi_i = lo[i], hi[i]
-        mid = 0.5 * (lo_i + hi_i)
-        up = residual(i, mid) > 0
-        lo[i] = np.where(up, mid, lo_i)
-        hi[i] = np.where(up, hi_i, mid)
+    start = np.clip(np.sqrt(2.0 * degrees * (nus + 1.0)), lo, hi)
+    lo, hi = _newton_roots(evaluate, lo, hi, start, np.full(n, 1e-12))
     r_star = 0.5 * (lo + hi)
     return float(r_star[0]) if np.ndim(k) == 0 else r_star

@@ -336,7 +336,8 @@ class TestCache:
         assert again["entries"] == fresh["entries"]
 
     def test_entry_key_is_pinned(self, capsys, cache_file):
-        # repr(("power", d, p, k, R, QuadConfig().key())): a file written by 0.3.0 stays valid
+        # repr(("power", d, p, k, R, QuadConfig().key())), unchanged since 0.3.0;
+        # a file is still discarded when its engine version differs
         run_json(capsys, "norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
         (key,) = json.loads(Path(cache_file).read_text())["entries"]
         assert key == "('power', 4, 4.0, 1, 40.0, (1.5707963267948966, 16, 8, 1e-11, 12))"
@@ -345,10 +346,13 @@ class TestCache:
         # 0.1.0 stored the (d=5, p=3) cross integrals without edges at the zeros,
         # e.g. M(1) on [0, 200] some 6,700 error estimates below its true value;
         # 0.2.0 stored every non-even-p enclosure before the Gauss-Jacobi panels,
-        # e.g. the (d=4, p=10/3) M(1) on [0, 200], under the same QuadConfig key
+        # e.g. the (d=4, p=10/3) M(1) on [0, 200], under the same QuadConfig key;
+        # 0.3.0 split every non-even-p integral at bisected zeros of J_nu; at the
+        # Newton zeros the same M(1) has an error estimate 4.8e-19 larger
         stale_files = {
             "0.1.0": ("M(1)", [0.10531172276898517, 0.10531172277929292, 0.0, 5.153875483633352e-12]),
             "0.2.0": ("M(1)", [0.1102204273214045, 0.11022042732679069, 0.0, 2.6930935622678456e-12]),
+            "0.3.0": ("M(1)", [0.11022042732296254, 0.11022042732547645, 0.0, 1.2569572750298233e-12]),
         }
         for version, (key, entry) in stale_files.items():
             stale = ResultCache(cache_file, version)

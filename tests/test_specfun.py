@@ -7,10 +7,12 @@ from scipy.special import jv
 
 import besselnorms.specfun as specfun
 from besselnorms.specfun import (
+    MAX_ARGUMENT,
     MAX_TWICE_NU,
     BesselOrder,
     SpecfunDomainError,
     bessel_j,
+    bessel_zeros,
     first_zero_lower_bound,
     landau_constant,
     log_gamma,
@@ -25,6 +27,14 @@ LOG_GAMMA_10_3 = 13.482036786138357
 CRITICAL_POINT_D3_K1 = 2.0815759778181006
 
 J1_PRIME_FIRST_ZERO = 1.8411837813406593
+
+# roots of k J_nu(r) - r J_{nu+1}(r), nu = d/2 - 1 + k, by 30-digit
+# mpmath.findroot from the engine's r*, frozen: {(d, k): r*}
+MPMATH_CRITICAL_POINTS = {
+    (5, 2): 3.8646997782230468,  # 3.86469977822304662923714450603
+    (10, 30): 35.730685413320366,  # 35.7306854133203644787530954065
+    (12, 30): 36.5012510542657,  # 36.5012510542656999269059414973
+}
 
 
 class TestBesselOrder:
@@ -180,12 +190,17 @@ class TestLandauConstant:
         assert r ** (1 / 3) * abs(jv(1, r)) < landau_constant()
 
 
-def scalar_critical_point(d: int, k: int) -> float:
-    """One degree's bisection, point by point with scalar jv: the reference
-    for the batched search."""
+def critical_residual(d: int, k: int):
+    """r -> k J_nu(r) - r J_{nu+1}(r), nu = d/2 - 1 + k, with scalar jv."""
     nu = d / 2.0 - 1.0 + k
-    residual = lambda r: k * float(jv(nu, r)) - r * float(jv(nu + 1.0, r))
-    lo, hi = 1e-3, first_zero_lower_bound(nu)
+    return lambda r: k * float(jv(nu, r)) - r * float(jv(nu + 1.0, r))
+
+
+def scalar_critical_point(d: int, k: int) -> float:
+    """One degree's bisection to 1e-12, point by point with scalar jv: the
+    reference for the Newton search."""
+    residual = critical_residual(d, k)
+    lo, hi = 1e-3, first_zero_lower_bound(d / 2.0 - 1.0 + k)
     assert residual(lo) > 0.0 > residual(hi)
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
@@ -233,9 +248,24 @@ class TestSupCriticalPoint:
         assert all(isinstance(one, np.ndarray) and one.shape == (1,) for one in ones)
         singles = [sup_critical_point(d, k) for k in degrees]
         assert all(type(single) is float for single in singles)
-        # bit for bit: each degree visits the midpoints of its own bisection
+        # bit for bit: each degree's iterates depend on its own values only
         assert batch.tolist() == [one[0] for one in ones] == singles
-        assert singles == [scalar_critical_point(d, k) for k in degrees]
+        for k, r_star in zip(degrees, singles):
+            assert abs(r_star - scalar_critical_point(d, k)) <= 1e-12, k
+            residual = critical_residual(d, k)
+            assert residual(r_star - 5e-13) > 0.0 > residual(r_star + 5e-13), k
+
+    @pytest.mark.parametrize("d,k", sorted(MPMATH_CRITICAL_POINTS))
+    def test_against_mpmath(self, d, k):
+        assert abs(sup_critical_point(d, k) - MPMATH_CRITICAL_POINTS[d, k]) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_jv_calls_per_batch(self, monkeypatch, d):
+        # the bracket check and about ten Newton rounds; bisection took 47
+        calls = []
+        monkeypatch.setattr(specfun, "jv", lambda *a: calls.append(a) or jv(*a))
+        sup_critical_point(d, range(1, 31))
+        assert len(calls) <= 16
 
     def test_order_past_the_limit_anywhere_in_a_batch_raises_first(self, monkeypatch):
         # d = 3, k = 59 needs J_{nu+1} with 2 nu + 2 = 121 > MAX_TWICE_NU
@@ -263,3 +293,61 @@ class TestSupCriticalPoint:
             nu = twice_nu / 2.0
             first_zero = float(mpmath.besseljzero(mpmath.mpf(twice_nu) / 2, 1))
             assert first_zero - first_zero_lower_bound(nu) > 0.26, twice_nu
+
+
+def bisection_zeros(nu: BesselOrder, upto: float) -> np.ndarray:
+    """The zeros of J_nu in (0, upto), each cell of a pi/2 grid bisected
+    until no midpoint falls strictly inside its bracket: the reference for
+    the Newton search."""
+    grid = np.linspace(0.0, upto, max(1, math.ceil(upto / (math.pi / 2.0))) + 1)
+    values = jv(nu.nu, grid)
+    cells = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    lo, hi = grid[cells], grid[cells + 1]
+    lo_sign = np.sign(values[cells])
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return mid
+        below = np.sign(jv(nu.nu, mid)) == lo_sign
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+
+
+def within_ulps(got: np.ndarray, want: np.ndarray, ulps: int) -> bool:
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= ulps * np.spacing(want)))
+
+
+class TestBesselZeros:
+    def test_every_order_within_4_ulp_of_bisection(self):
+        for twice_nu in range(MAX_TWICE_NU + 1):
+            nu = BesselOrder(twice_nu)
+            assert within_ulps(bessel_zeros(nu, 200.0), bisection_zeros(nu, 200.0), 4), twice_nu
+
+    @pytest.mark.parametrize("twice_nu", [0, 1, 7, 60, 119, MAX_TWICE_NU])
+    def test_to_the_argument_limit_within_4_ulp_of_bisection(self, twice_nu):
+        nu = BesselOrder(twice_nu)
+        got = bessel_zeros(nu, MAX_ARGUMENT)
+        assert within_ulps(got, bisection_zeros(nu, MAX_ARGUMENT), 4)
+        assert 0.0 < got[0] and got[-1] < MAX_ARGUMENT and np.all(np.diff(got) > 3.0)
+
+    @pytest.mark.parametrize("twice_nu", [0, 1, 2, 3, 5, 8, 20, 60, MAX_TWICE_NU])
+    def test_against_mpmath(self, twice_nu):
+        zeros = bessel_zeros(BesselOrder(twice_nu), 200.0)
+        for n in (1, 2, 10, len(zeros)):
+            want = float(mpmath.besseljzero(mpmath.mpf(twice_nu) / 2, n))
+            assert abs(zeros[n - 1] - want) <= 4 * np.spacing(want), n
+
+    @pytest.mark.parametrize("twice_nu", [MAX_TWICE_NU - 1, MAX_TWICE_NU])
+    def test_derivative_order_stays_within_the_limit(self, monkeypatch, twice_nu):
+        # J_nu' from J_{nu-1} where J_{nu+1} is past MAX_TWICE_NU
+        orders = []
+        monkeypatch.setattr(specfun, "jv", lambda nu, r: orders.append(np.max(nu)) or jv(nu, r))
+        bessel_zeros(BesselOrder(twice_nu), MAX_ARGUMENT)
+        assert max(orders) == twice_nu / 2
+
+    def test_jv_calls(self, monkeypatch):
+        # the grid and a handful of Newton rounds; bisection took 52
+        calls = []
+        monkeypatch.setattr(specfun, "jv", lambda *a: calls.append(a) or jv(*a))
+        bessel_zeros(BesselOrder(3), 200.0)
+        assert len(calls) <= 10
