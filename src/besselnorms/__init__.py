@@ -16,11 +16,9 @@ from .norms import (
     lambda_finite,
     lambda_power,
     lambda_sup,
-    lambda_sup_zero_closed,
     lower_bound_L0,
     stein_tomas_exponent,
     upper_bound_U,
-    weighted_l2_identity,
 )
 from .quadrature import Enclosure, QuadConfig
-from .specfun import BesselOrder, bessel_j, landau_constant, log_gamma, sup_critical_point
+from .specfun import LANDAU_CONSTANT, bessel_j, lambda_sup_zero_closed, sup_critical_point, twice_nu

@@ -35,9 +35,11 @@ from .norms import (
 from .quadrature import Enclosure
 from .specfun import SpecfunDomainError, check_admissible
 from .store import ResultCache
-from .sweep import p0_report
+from .sweep import MAX_GRID_POINTS, p0_report
 
 __all__ = ["main"]
+
+STEP_HELP = f"exponent grid step of the sweeps (default 0.01); a step giving a grid of more than {MAX_GRID_POINTS:,} points exits 2"
 
 
 def fmt(x: float) -> str:
@@ -250,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="certify the exponent threshold for one dimension")
     p_sweep.add_argument("--d", type=int, required=True)
-    p_sweep.add_argument("--step", type=float, default=0.01)
+    p_sweep.add_argument("--step", type=float, default=0.01, help=STEP_HELP)
     p_sweep.set_defaults(run=cmd_sweep)
 
     p_repro = sub.add_parser("reproduce", help="regenerate one published table")
     p_repro.add_argument("--table", required=True, choices=("sup-values", "p4-truncations", "pst-truncations", "thresholds"))
-    p_repro.add_argument("--step", type=float, default=0.01)
+    p_repro.add_argument("--step", type=float, default=0.01, help=STEP_HELP)
     p_repro.set_defaults(run=cmd_reproduce)
     return parser
 

@@ -116,7 +116,10 @@ def _degree_zero_dominates(record: VerificationRecord, R: float | None) -> bool:
 
 def verify_holder_chain(d: int, p: float, k: int, R: float | None = None) -> VerificationRecord:
     """Check M(k) < L0^(p-2) Lk^2 < L0^p with enclosure-separated strictness,
-    where L0, Lk are the degree-0 and degree-k norms."""
+    where L0, Lk are the degree-0 and degree-k norms.  For k = 0 the chain
+    reads L0^p < L0^p < L0^p and cannot separate, so k >= 1."""
+    if k < 1:
+        raise ValueError(f"the Holder chain needs a degree k >= 1, got k={k}")
     record = VerificationRecord(
         claim_id=ClaimId.HOLDER_CHAIN, params={"d": d, "p": p, "k": k}, status=Status.PASS
     )
@@ -149,8 +152,10 @@ def verify_second_order_positivity(d: int, p: float, K: int, R: float | None = N
     """Check positivity of both quadratic coefficient groups for k = 1..K.
 
     Degree zero is excluded: there the perturbation renormalizes the constant
-    itself and the coefficient question degenerates.
+    itself and the coefficient question degenerates; so K >= 1.
     """
+    if K < 1:
+        raise ValueError(f"need K >= 1, got K={K}")
     record = VerificationRecord(
         claim_id=ClaimId.SECOND_ORDER_POSITIVITY,
         params={"d": d, "p": p, "K": K},

@@ -15,16 +15,16 @@ import numpy as np
 from . import store
 from .quadrature import Enclosure, integrate_weighted_power, tail_bound, zero_order_tail_bound
 from .specfun import (
+    LANDAU_CONSTANT,
     MAX_TWICE_NU,
-    BesselOrder,
     RootBracketError,
     SpecfunDomainError,
     bessel_j,
     check_admissible,
     first_zero_estimate,
-    landau_constant,
-    log_gamma,
+    lambda_sup_zero_closed,
     sup_critical_point,
+    twice_nu,
 )
 
 __all__ = [
@@ -38,9 +38,7 @@ __all__ = [
     "lambda_power",
     "truncated_power",
     "lambda_sup",
-    "lambda_sup_zero_closed",
     "lambda4_zero",
-    "weighted_l2_identity",
     "upper_bound_U",
     "lower_bound_L0",
     "validity_strip",
@@ -78,7 +76,7 @@ class NormKey:
 
     @property
     def nu(self) -> float:
-        return self.d / 2.0 - 1.0 + self.k
+        return twice_nu(self.d, self.k) / 2.0
 
     @property
     def is_sup(self) -> bool:
@@ -107,7 +105,7 @@ def stein_tomas_exponent(d: int) -> float:
 
 def default_radius(d: int, k: int) -> float:
     """Default truncation radius: max(200, 3*nu)."""
-    return max(200.0, 3.0 * (d / 2.0 - 1.0 + k))
+    return max(200.0, 3.0 * (twice_nu(d, k) / 2.0))
 
 
 def clear_memo_cache() -> None:
@@ -141,13 +139,6 @@ def lambda_finite(key: NormKey, R: float | None = None) -> NormValue:
     return NormValue(key=key, enclosure=power.powered(1.0 / key.p), R_used=R, method=Method.QUADRATURE_TAIL)
 
 
-def lambda_sup_zero_closed(d: int) -> float:
-    """Closed form 1 / (2^(d/2-1) Gamma(d/2)) for the degree-zero sup norm."""
-    if d < 2:
-        raise SpecfunDomainError(f"need d >= 2, got {d}")
-    return math.exp((1.0 - d / 2.0) * math.log(2.0) - log_gamma(d / 2.0))
-
-
 def lambda_sup(d: int, k):
     """The sup norm of one degree k (a NormValue out) or of a sequence of
     degrees (a list out): closed form for degree zero, critical point
@@ -167,7 +158,7 @@ def lambda_sup(d: int, k):
     positive = [key.k for key in keys if key.k > 0]
     if positive:
         r_stars = sup_critical_point(d, positive)
-        j_stars = bessel_j(np.array([d - 2 + 2 * kk for kk in positive]), r_stars)
+        j_stars = bessel_j(np.array([twice_nu(d, kk) for kk in positive]), r_stars)
         peaks = zip(r_stars.tolist(), j_stars.tolist())
     values = []
     for key in keys:
@@ -193,33 +184,15 @@ def lambda4_zero(d: int) -> float:
     """
     if d < 3:
         raise SpecfunDomainError(f"need d >= 3 (the p=4, d=2 case is inadmissible), got {d}")
-    nu = d / 2.0 - 1.0
+    nu = twice_nu(d, 0) / 2.0
     log_val = (
-        log_gamma(nu)
-        + log_gamma(2.0 * nu)
+        math.lgamma(nu)
+        + math.lgamma(2.0 * nu)
         - math.log(2.0 * math.pi)
-        - 2.0 * log_gamma(nu + 0.5)
-        - log_gamma(3.0 * nu)
+        - 2.0 * math.lgamma(nu + 0.5)
+        - math.lgamma(3.0 * nu)
     )
     return math.exp(0.25 * log_val)
-
-
-def weighted_l2_identity(nu: BesselOrder, lam: float) -> float:
-    """Closed form of the integral of J_nu(r)^2 r^(-lam) over (0, infinity).
-
-    Valid for 0 < lam < 2 nu + 1.
-    """
-    v = nu.nu
-    if not 0.0 < lam < 2.0 * v + 1.0:
-        raise SpecfunDomainError(f"need 0 < lam < 2nu+1, got lam={lam}, nu={v}")
-    log_val = (
-        log_gamma(lam)
-        + log_gamma(v + (1.0 - lam) / 2.0)
-        - lam * math.log(2.0)
-        - 2.0 * log_gamma((1.0 + lam) / 2.0)
-        - log_gamma(v + (1.0 + lam) / 2.0)
-    )
-    return math.exp(log_val)
 
 
 def validity_strip(d: int) -> tuple[float, float]:
@@ -248,13 +221,13 @@ def upper_bound_U(d: int, p: float, k: int) -> float:
     if not lo < p < hi:
         raise SpecfunDomainError(f"p={p} outside the validity strip ({lo}, {hi}) for d={d}")
     lam = p * (d / 2.0 - 2.0 / 3.0) - d + 1.0 / 3.0
-    nu = d / 2.0 - 1.0 + k
-    return landau_constant() ** (p - 2.0) * math.exp(
-        log_gamma(lam)
-        + log_gamma(nu + (1.0 - lam) / 2.0)
+    nu = twice_nu(d, k) / 2.0
+    return LANDAU_CONSTANT ** (p - 2.0) * math.exp(
+        math.lgamma(lam)
+        + math.lgamma(nu + (1.0 - lam) / 2.0)
         - lam * math.log(2.0)
-        - 2.0 * log_gamma((1.0 + lam) / 2.0)
-        - log_gamma(nu + (1.0 + lam) / 2.0)
+        - 2.0 * math.lgamma((1.0 + lam) / 2.0)
+        - math.lgamma(nu + (1.0 + lam) / 2.0)
     )
 
 
@@ -267,7 +240,7 @@ def lower_bound_L0(d: int, p):
     """
     exps = np.atleast_1d(np.asarray(p, dtype=float))
     check_admissible(d, p=float(np.min(exps)))
-    lg_half = log_gamma(d / 2.0)
+    lg_half = math.lgamma(d / 2.0)
     log_prefactor = ((d - 1) * math.log(2.0) + (d / 2.0) * math.log(d / 2.0)) / exps
     log_prefactor -= (d / 2.0 - 1.0) * math.log(2.0) + lg_half
     log_ratio = np.array([math.lgamma(x + 1.0) + lg_half - math.lgamma(x + d / 2.0 + 1.0) for x in exps.tolist()])
@@ -312,9 +285,9 @@ def best_k(d: int, p: float, top: int, R_top: float | None = None, R: float | No
     k_dom = top + 1
     while (u_dom := upper_bound_U(d, p, k_dom)) >= bar:
         # degree k_dom joins the explicit ones, which bessel_j must reach
-        if (twice_nu := BesselOrder.from_dim_degree(d, k_dom).twice_nu) > MAX_TWICE_NU:
+        if (order := twice_nu(d, k_dom)) > MAX_TWICE_NU:
             raise SpecfunDomainError(
-                f"no domination degree for d={d}, p={p}: degree {k_dom} would need order 2nu={twice_nu} > MAX_TWICE_NU={MAX_TWICE_NU}"
+                f"no domination degree for d={d}, p={p}: degree {k_dom} would need order 2nu={order} > MAX_TWICE_NU={MAX_TWICE_NU}"
             )
         k_dom += 1
     result = BestKResult(d=d, p=p, top_power=top_power, dominated_from=k_dom, u_dominated=u_dom)

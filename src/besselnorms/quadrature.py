@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .specfun import MAX_ARGUMENT, BesselOrder, SpecfunDomainError, bessel_j, bessel_zeros, check_admissible, log_gamma
+from .specfun import MAX_ARGUMENT, SpecfunDomainError, bessel_j, bessel_zeros, check_admissible, lambda_sup_zero_closed, twice_nu
 
 __all__ = [
     "Enclosure",
@@ -138,15 +138,14 @@ def _zero_degree_amplitude(d: int, r: np.ndarray) -> np.ndarray:
     Avoids the floating-point 0 * inf ambiguity of the direct product at the
     origin; three series terms leave a relative error below 1e-20 there.
     """
-    nu = d / 2.0 - 1.0
+    nu = twice_nu(d, 0) / 2.0
     q = 0.25 * r * r
-    c0 = math.exp((1.0 - d / 2.0) * math.log(2.0) - log_gamma(d / 2.0))
-    return c0 * (1.0 - q / (nu + 1.0) + 0.5 * q * q / ((nu + 1.0) * (nu + 2.0)))
+    return lambda_sup_zero_closed(d) * (1.0 - q / (nu + 1.0) + 0.5 * q * q / ((nu + 1.0) * (nu + 2.0)))
 
 
 def _amplitude(d: int, k: int, r: np.ndarray) -> np.ndarray:
     """|J_{d/2-1+k}(r) r^(1-d/2)| evaluated stably down to r = 0+."""
-    out = np.abs(bessel_j(BesselOrder.from_dim_degree(d, k), r) * r ** (1.0 - d / 2.0))
+    out = np.abs(bessel_j(twice_nu(d, k), r) * r ** (1.0 - d / 2.0))
     if k == 0:
         small = r < 1e-3
         if np.any(small):
@@ -327,8 +326,9 @@ def panel_integrate(
     return value, total_err
 
 
-def _kinks(order: BesselOrder, exponent: float, R: float) -> tuple[np.ndarray, float]:
-    """Zeros of J_order in (0, R) and the exponent of |J_order|^exponent there.
+def _kinks(order: int, exponent: float, R: float) -> tuple[np.ndarray, float]:
+    """Zeros of J_nu, 2 nu = order, in (0, R) and the exponent of
+    |J_nu|^exponent there.
 
     An even exponent gives a smooth power: no zeros, and exponent 0.
     """
@@ -346,7 +346,7 @@ def integrate_weighted_power(
     end exponent p there.
     """
     _check_weighted_preconditions(d, p, k, R)
-    zeros, alpha = _kinks(BesselOrder.from_dim_degree(d, k), p, R)
+    zeros, alpha = _kinks(twice_nu(d, k), p, R)
     value, err = panel_integrate(weighted_power_integrand(d, p, k), 0.0, R, cfg, zeros, alpha)
     return Enclosure(max(value - err, 0.0), value + err, quad_error_bound=err)
 
@@ -361,7 +361,7 @@ def integrate_cross_term(
     none.
     """
     _check_weighted_preconditions(d, p, k, R)
-    zeros, alpha = _kinks(BesselOrder.from_dim_degree(d, 0), p - 2.0, R)
+    zeros, alpha = _kinks(twice_nu(d, 0), p - 2.0, R)
     value, err = panel_integrate(cross_term_integrand(d, p, k), 0.0, R, cfg, zeros, alpha)
     return Enclosure(max(value - err, 0.0), value + err, quad_error_bound=err)
 
@@ -379,8 +379,9 @@ def tail_bound(d: int, p: float, k: int, R: float) -> float:
     premise is checked, for every admitted order, by
     tests/test_quadrature.py::TestTailBounds::test_premise_sqrt_r_j_at_most_one.
     """
-    nu = d / 2.0 - 1.0 + k
-    if 2 * nu < 1:
+    order = twice_nu(d, k)
+    nu = order / 2.0
+    if order < 1:
         raise SpecfunDomainError(
             f"tail bound needs order >= 1/2 (d={d}, k={k} gives nu={nu}); "
             "use zero_order_tail_bound for d=2, k=0"
@@ -414,7 +415,7 @@ def cross_tail_bound(d: int, p: float, k: int, R: float) -> float:
     The premise is that of tail_bound, checked by
     tests/test_quadrature.py::TestTailBounds::test_premise_sqrt_r_j_at_most_one.
     """
-    nu_high = d / 2.0 - 1.0 + k
+    nu_high = twice_nu(d, k) / 2.0
     if R < 1.5 * max(nu_high, 1.0):
         raise SpecfunDomainError(f"cross tail needs R >= {1.5*max(nu_high,1.0)}, got R={R}")
     expo = _tail_exponent(d, p)

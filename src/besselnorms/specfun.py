@@ -1,29 +1,28 @@
-"""Bessel functions of integer and half-integer order and their zeros,
-log-Gamma, and the first local maximum of the weighted radial profile
-r^{1-d/2} J_nu(r).
+"""Bessel functions of integer and half-integer order and their zeros, the
+value of the weighted radial profile r^{1-d/2} J_nu(r) at the origin, and its
+first local maximum.
 
-Orders are carried around as exact integers (twice the order), which covers
-every order nu = d/2 - 1 + k arising from a dimension d >= 2 and a degree
-k >= 0.
+An order is the exact integer 2 nu, formed from a dimension d >= 2 and a
+degree k >= 0 by twice_nu(d, k): nu = d/2 - 1 + k is the order of the
+degree-k spherical harmonics on S^(d-1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv
 
 __all__ = [
-    "BesselOrder",
+    "LANDAU_CONSTANT",
     "MAX_ARGUMENT",
     "MAX_TWICE_NU",
     "check_admissible",
+    "twice_nu",
     "bessel_j",
     "bessel_zeros",
-    "log_gamma",
-    "landau_constant",
+    "lambda_sup_zero_closed",
     "sup_critical_point",
     "first_zero_lower_bound",
     "first_zero_estimate",
@@ -37,7 +36,7 @@ MAX_TWICE_NU = 120
 
 # sup over nu > 0, r > 0 of |r^(1/3) J_nu(r)| = 0.78574687... (Landau,
 # J. London Math. Soc. 61, 2000), rounded up because it enters the bound U.
-_LANDAU_CONSTANT = 0.7857469
+LANDAU_CONSTANT = 0.7857469
 
 
 class SpecfunDomainError(ValueError):
@@ -56,66 +55,47 @@ def check_admissible(d: int, k: int = 0, p: float = math.inf) -> None:
         raise SpecfunDomainError(f"inadmissible exponent p={p} for d={d} (need p > {2.0*d/(d-1)})")
 
 
-@dataclass(frozen=True)
-class BesselOrder:
-    """Order nu stored exactly as the integer 2*nu."""
-
-    twice_nu: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice_nu, int) or self.twice_nu < 0:
-            raise SpecfunDomainError(f"twice_nu must be a non-negative integer, got {self.twice_nu!r}")
-
-    @property
-    def nu(self) -> float:
-        return self.twice_nu / 2.0
-
-    @classmethod
-    def from_dim_degree(cls, d: int, k: int) -> "BesselOrder":
-        """Order nu = d/2 - 1 + k for dimension d >= 2 and degree k >= 0."""
-        check_admissible(d, k)
-        return cls(d - 2 + 2 * k)
-
-    def shifted(self, by: int) -> "BesselOrder":
-        return BesselOrder(self.twice_nu + 2 * by)
+def twice_nu(d: int, k: int) -> int:
+    """The order nu = d/2 - 1 + k of degree k in dimension d, as the integer
+    2 nu; the pair is checked first (d >= 2, k >= 0)."""
+    check_admissible(d, k)
+    return d - 2 + 2 * k
 
 
-def bessel_j(nu, r):
-    """J_nu(r) for r >= 0, r a float or an array.
+def bessel_j(order, r):
+    """J_nu(r) for r >= 0, the order given as the integer 2 nu: an int, or
+    an integer array that broadcasts against r, so that one call evaluates
+    several orders; r is a float or an array.
 
-    The order is a BesselOrder, or an integer array of 2 nu that broadcasts
-    against r, so that one call evaluates several orders.  The largest order
-    and the smallest and largest argument are checked against MAX_TWICE_NU
-    and MAX_ARGUMENT once per call, before any evaluation.  A BesselOrder
-    and a float r give a float, exact at r = 0 (1 for nu = 0, 0 otherwise);
-    elsewhere the value is scipy's jv, evaluated point by point, so an
-    array call equals the float calls element by element.  Against 30-digit
-    mpmath at 10,000 points drawn uniformly (numpy default_rng(0)) from
-    2 nu in {0, ..., 120} and r in [0, 1000], its absolute error was at most
+    The largest order and the smallest and largest argument are checked
+    against MAX_TWICE_NU and MAX_ARGUMENT once per call, before any
+    evaluation.  The value is scipy's jv, evaluated point by point, so an
+    array call equals the float calls element by element, and exact at
+    r = 0 (1 for nu = 0, 0 otherwise).  Against 30-digit mpmath at 10,000
+    points drawn uniformly (numpy default_rng(0)) from 2 nu in
+    {0, ..., 120} and r in [0, 1000], its absolute error was at most
     6.9e-13 min(1, r^(-1/2)), and its relative error at most 4.4e-12 where
     |J_nu(r)| >= 0.1 min(1, r^(-1/2)); both peak at large order and argument
     (2 nu = 89, r = 974 for the former).
     """
-    if isinstance(nu, BesselOrder):
-        twice_nu, top = nu.twice_nu, nu.twice_nu
+    if isinstance(order, int):
+        # an int skips numpy's 0-d array min and max
+        lowest = top = order
     else:
-        twice_nu = np.asarray(nu)
-        if twice_nu.dtype.kind not in "iu" or twice_nu.min() < 0:
-            raise SpecfunDomainError(f"orders 2nu must be non-negative integers, got {nu!r}")
-        top = twice_nu.max()
+        order = np.asarray(order)
+        if order.dtype.kind not in "iu":
+            raise SpecfunDomainError(f"orders 2nu must be integers, got {order!r}")
+        lowest, top = order.min(), order.max()
+    if lowest < 0:
+        raise SpecfunDomainError(f"orders 2nu must be non-negative, got 2nu={lowest}")
     if top > MAX_TWICE_NU:
         raise SpecfunDomainError(f"order 2nu={top} exceeds MAX_TWICE_NU={MAX_TWICE_NU}")
-    scalar = np.ndim(r) == 0
-    lo, hi = (r, r) if scalar else (np.asarray(r).min(), np.asarray(r).max())
+    lo, hi = (r, r) if np.ndim(r) == 0 else (np.asarray(r).min(), np.asarray(r).max())
     if lo < 0:
         raise SpecfunDomainError(f"negative argument r={lo}")
     if hi > MAX_ARGUMENT:
         raise SpecfunDomainError(f"argument r={hi} exceeds MAX_ARGUMENT={MAX_ARGUMENT}")
-    if not (scalar and isinstance(nu, BesselOrder)):
-        return jv(twice_nu / 2.0, r)
-    if r == 0.0:
-        return 1.0 if nu.twice_nu == 0 else 0.0
-    return float(jv(nu.nu, r))
+    return jv(order / 2.0, r)
 
 
 def _newton_roots(evaluate, lo, hi, start, width):
@@ -154,8 +134,8 @@ def _newton_roots(evaluate, lo, hi, start, width):
     return lo, hi
 
 
-def bessel_zeros(nu: BesselOrder, upto: float) -> np.ndarray:
-    """The zeros of J_nu in (0, upto), ascending, each the midpoint of a
+def bessel_zeros(order: int, upto: float) -> np.ndarray:
+    """The zeros of J_nu, 2 nu = order, in (0, upto), ascending, each the midpoint of a
     sign-change bracket at most 4 ulp wide.
 
     Consecutive zeros of J_nu, nu >= 0, lie more than 3 apart (the gap tends
@@ -168,35 +148,33 @@ def bessel_zeros(nu: BesselOrder, upto: float) -> np.ndarray:
     order nu + 1 is past MAX_TWICE_NU; every value comes from bessel_j.
     """
     grid = np.linspace(0.0, upto, max(1, math.ceil(upto / (math.pi / 2.0))) + 1)
-    values = bessel_j(nu, grid)
+    values = bessel_j(order, grid)
     cells = np.flatnonzero(values[:-1] * values[1:] < 0.0)
     lo, hi = grid[cells], grid[cells + 1]
     f_lo, f_hi = values[cells], values[cells + 1]
     sign = np.sign(f_lo)
-    shift = 1 if nu.twice_nu + 2 <= MAX_TWICE_NU else -1
-    orders = np.array([[nu.twice_nu], [nu.twice_nu + 2 * shift]])
+    nu = order / 2.0
+    shift = 1 if order + 2 <= MAX_TWICE_NU else -1
+    orders = np.array([[order], [order + 2 * shift]])
 
     def evaluate(i, r):
         """sign * J_nu and sign * J_nu' at the points r of the cells i."""
         # r once per order, so that the argument holds every evaluated point
         j = bessel_j(orders, np.array([r, r]))
-        return sign[i] * j[0], sign[i] * shift * (nu.nu / r * j[0] - j[1])
+        return sign[i] * j[0], sign[i] * shift * (nu / r * j[0] - j[1])
 
     start = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     lo, hi = _newton_roots(evaluate, lo, hi, start, 4.0 * np.spacing(lo))
     return 0.5 * (lo + hi)
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0:
-        raise SpecfunDomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def landau_constant() -> float:
-    """L = sup_{nu>0, r>0} |r^(1/3) J_nu(r)| = 0.78574687..., rounded up."""
-    return _LANDAU_CONSTANT
+def lambda_sup_zero_closed(d: int) -> float:
+    """c0 = 1 / (2^(d/2-1) Gamma(d/2)), the value of r^(1-d/2) J_{d/2-1}(r)
+    at r = 0: the leading coefficient of its series there, and the sup norm
+    of degree zero, which that profile takes at the origin."""
+    if d < 2:
+        raise SpecfunDomainError(f"need d >= 2, got {d}")
+    return math.exp((1.0 - d / 2.0) * math.log(2.0) - math.lgamma(d / 2.0))
 
 
 def first_zero_lower_bound(nu: float) -> float:
@@ -241,10 +219,10 @@ def sup_critical_point(d: int, k):
     degrees = np.atleast_1d(np.asarray(k))
     if degrees.size == 0 or np.min(degrees) < 1:
         raise SpecfunDomainError(f"need degrees k >= 1, got k={k}")
-    orders = [BesselOrder.from_dim_degree(d, kk) for kk in degrees.tolist()]
-    nus = np.array([order.nu for order in orders])
+    orders = np.array([twice_nu(d, kk) for kk in degrees.tolist()])
+    nus = orders / 2.0
     # the orders nu and nu + 1 of each degree, as 2 nu, one row each
-    pair = np.array([[order.twice_nu for order in orders], [order.twice_nu + 2 for order in orders]])
+    pair = np.array([orders, orders + 2])
 
     def evaluate(i, r):
         """The residual and its derivative for the degrees degrees[i] at the points r."""
@@ -255,7 +233,7 @@ def sup_critical_point(d: int, k):
 
     n = len(orders)
     lo = np.full(n, 1e-3)
-    hi = np.array([first_zero_lower_bound(order.nu) for order in orders])
+    hi = np.array([first_zero_lower_bound(nu) for nu in nus.tolist()])
     ends, _ = evaluate(np.tile(np.arange(n), 2), np.concatenate([lo, hi]))
     bad = np.flatnonzero(~((ends[:n] > 0.0) & (ends[n:] < 0.0)))
     if bad.size:

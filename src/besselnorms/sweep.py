@@ -26,14 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .golden import THRESHOLDS
-from .norms import (
-    NormKey,
-    lambda_power,
-    lambda_sup,
-    lambda_sup_zero_closed,
-    lower_bound_L0,
-    stein_tomas_exponent,
-)
+from .norms import NormKey, lambda_power, lambda_sup, lower_bound_L0, stein_tomas_exponent
+from .specfun import lambda_sup_zero_closed
 
 __all__ = ["Regime", "SweepResult", "p0_report"]
 
@@ -44,6 +38,9 @@ _STEP2_DIMENSIONS = range(4, 9)
 # beyond this exponent both sides are within 1e-6 of their limits; the sweep
 # defers to the explicit limit comparison
 _P_LIMIT_SWITCH = 60.0
+# the most points a grid may hold; a finer step is rejected before any
+# allocation (10^6 points take 8 MB)
+MAX_GRID_POINTS = 10**6
 
 
 class Regime(str, Enum):
@@ -73,12 +70,16 @@ def _threshold_from_grid(p_grid, margins) -> float | None:
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
     """start, start +- step, ... towards stop (inclusive within 1e-12), each
-    point rounded to 12 places; step must be finite and positive."""
+    point rounded to 12 places; step must be finite and positive, and the
+    grid no longer than MAX_GRID_POINTS."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"need a finite grid step > 0, got {step}")
+    steps = (abs(stop - start) + 1e-12) / step
+    if not steps + 2 <= MAX_GRID_POINTS:
+        raise ValueError(f"grid step {step} gives more than MAX_GRID_POINTS={MAX_GRID_POINTS} points on [{start}, {stop}]")
     descending = stop < start
     # one point past stop, which the filter drops
-    n = np.arange(int((abs(stop - start) + 1e-12) / step) + 2)
+    n = np.arange(int(steps) + 2)
     grid = np.round(start - n * step if descending else start + n * step, 12)
     return grid[(grid >= stop - 1e-12) if descending else (grid <= stop + 1e-12)].tolist()
 

@@ -1,11 +1,14 @@
-"""Independent fine-grid oracles: Simpson evaluation of the truncated
-integrals, and a dense scan of the sup-norm profile.
+"""Independent oracles: Simpson evaluation of the truncated integrals on a
+fine grid, a dense scan of the sup-norm profile, and the closed form of the
+weighted L2 integral of J_nu.
 
 Deliberately shares no code with the package's panel quadrature or its
 critical-point search: plain uniform-grid Simpson on [a, R] with a tiny
 analytic bound for [0, a], and plain sampling with a decay envelope, so
 they can serve as soundness oracles for the enclosures.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import simpson
@@ -60,3 +63,19 @@ def sup_scan_max(d: int, k: int, h: float = 0.01) -> float:
     sampled = float(np.max(np.abs(jv(nu, r) * r ** (1.0 - d / 2.0))))
     decay = r_end ** (1.0 - d / 2.0) * min(r_end**-0.5, LANDAU_UPPER * r_end ** (-1.0 / 3.0))
     return max(sampled, decay)
+
+
+def weighted_l2_identity(order: int, lam: float) -> float:
+    """Closed form of the integral of J_nu(r)^2 r^(-lam) over (0, infinity),
+    2 nu = order, valid for 0 < lam < 2 nu + 1 (Watson, Treatise, 13.41)."""
+    nu = order / 2.0
+    if not 0.0 < lam < 2.0 * nu + 1.0:
+        raise ValueError(f"need 0 < lam < 2nu+1, got lam={lam}, nu={nu}")
+    log_val = (
+        math.lgamma(lam)
+        + math.lgamma(nu + (1.0 - lam) / 2.0)
+        - lam * math.log(2.0)
+        - 2.0 * math.lgamma((1.0 + lam) / 2.0)
+        - math.lgamma(nu + (1.0 + lam) / 2.0)
+    )
+    return math.exp(log_val)

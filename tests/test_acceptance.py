@@ -24,12 +24,10 @@ from besselnorms.norms import (
     lambda_power,
     stein_tomas_exponent,
     upper_bound_U,
-    weighted_l2_identity,
 )
 from besselnorms.quadrature import integrate_weighted_power, tail_bound
-from besselnorms.specfun import BesselOrder
 
-from oracles import simpson_weighted_power
+from oracles import simpson_weighted_power, weighted_l2_identity
 
 LOCAL_PAIRS = [(2, 6.0), (3, 4.0), (4, 10.0 / 3.0), (5, 3.0)]
 
@@ -134,7 +132,7 @@ def test_criterion_06_thresholds(capsys, cache_dir):
 
 
 def test_criterion_07_closed_form_oracles():
-    assert abs(weighted_l2_identity(BesselOrder(1), 1.0) - 1.0) < 1e-12
+    assert abs(weighted_l2_identity(1, 1.0) - 1.0) < 1e-12
     assert abs(lambda4_zero(3) ** 4 - 1.0 / math.pi) < 1e-10
     enclosure = lambda_power(NormKey(3, 4.0, 0))
     assert enclosure.lower <= 1.0 / math.pi <= enclosure.upper

@@ -8,6 +8,7 @@ import pytest
 import besselnorms.local as local
 import besselnorms.norms as norms
 import besselnorms.quadrature as quadrature
+import besselnorms.sweep as sweep
 from besselnorms.cli import ResultCache, fmt, main
 
 
@@ -178,6 +179,42 @@ class TestOutsideInputs:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "truncation radius must lie in (0, MAX_ARGUMENT=1000.0]" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("holder-chain", "--d", "3", "--k", "0"),
+            ("holder-chain", "--d", "2", "--k", "0"),
+            ("holder-chain", "--d", "5", "--p", "3", "--k", "0"),
+            ("holder-chain", "--d", "3", "--k", "-1"),
+            ("local-coefficients", "--d", "3", "--K", "0"),
+            ("local-coefficients", "--d", "3", "--K", "-2"),
+        ],
+        ids=["holder-d3", "holder-d2", "holder-d5-p3", "holder-negative", "local-K0", "local-K-2"],
+    )
+    def test_degenerate_local_check_exits_2(self, capsys, monkeypatch, cache_file, argv):
+        # at k = 0, M(0) = L0^p and the chain cannot separate; K < 1 leaves no
+        # degree to check: both are usage errors, rejected before any integral
+        searches = count_calls(monkeypatch, local, "best_k")
+        code = main(["verify", *argv, "--cache", cache_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "need" in captured.err and ">= 1" in captured.err
+        assert searches == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("sweep", "--d", "3", "--step", "1e-9"), ("reproduce", "--table", "thresholds", "--step", "1e-9")],
+        ids=["sweep", "reproduce"],
+    )
+    def test_grid_past_the_point_limit_exits_2(self, capsys, monkeypatch, cache_file, argv):
+        # 5.6e10 points would take 417 GiB: the grid is refused before any allocation
+        anchors = count_calls(monkeypatch, sweep, "lambda_power")
+        code = main([*argv, "--cache", cache_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "more than MAX_GRID_POINTS=1000000 points" in captured.err
+        assert anchors == []
 
     def test_sweep_certifying_nothing_fails(self, capsys, cache_file):
         code, report = run_json(capsys, "sweep", "--d", "10", "--step", "100", "--cache", cache_file)

@@ -21,19 +21,17 @@ from besselnorms.norms import (
     lambda_finite,
     lambda_power,
     lambda_sup,
-    lambda_sup_zero_closed,
     validity_strip,
     lower_bound_L0,
     stein_tomas_exponent,
     truncated_power,
     upper_bound_U,
-    weighted_l2_identity,
 )
 from besselnorms.quadrature import Enclosure
-from besselnorms.specfun import BesselOrder, RootBracketError, SpecfunDomainError, first_zero_estimate
+from besselnorms.specfun import RootBracketError, SpecfunDomainError, first_zero_estimate, lambda_sup_zero_closed
 from besselnorms.sweep import p0_report
 
-from oracles import simpson_weighted_power, sup_scan_max
+from oracles import simpson_weighted_power, sup_scan_max, weighted_l2_identity
 
 # Gamma-expression value of U(2, 6, 1) with the Landau constant 0.7857469,
 # 30-digit evaluation, frozen
@@ -269,18 +267,18 @@ class TestClosedForms:
             lambda4_zero(2)
 
     def test_weighted_l2_identity_unit_case(self):
-        assert weighted_l2_identity(BesselOrder(1), 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert weighted_l2_identity(1, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_weighted_l2_identity_frozen_oracle(self):
-        assert weighted_l2_identity(BesselOrder(2), 0.5) == pytest.approx(
+        assert weighted_l2_identity(2, 0.5) == pytest.approx(
             WL2_NU1_LAM_HALF, abs=5e-8
         )
 
     def test_weighted_l2_identity_domain(self):
-        with pytest.raises(SpecfunDomainError):
-            weighted_l2_identity(BesselOrder(2), 0.0)
-        with pytest.raises(SpecfunDomainError):
-            weighted_l2_identity(BesselOrder(2), 3.0)  # needs lam < 2nu+1 = 3
+        with pytest.raises(ValueError):
+            weighted_l2_identity(2, 0.0)
+        with pytest.raises(ValueError):
+            weighted_l2_identity(2, 3.0)  # needs lam < 2nu+1 = 3
 
 
 class TestUpperBoundU:

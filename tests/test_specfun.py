@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,17 +8,18 @@ import pytest
 from scipy.special import jv
 
 import besselnorms.specfun as specfun
+from besselnorms.norms import lambda4_zero, upper_bound_U
 from besselnorms.specfun import (
+    LANDAU_CONSTANT,
     MAX_ARGUMENT,
     MAX_TWICE_NU,
-    BesselOrder,
     SpecfunDomainError,
     bessel_j,
     bessel_zeros,
     first_zero_lower_bound,
-    landau_constant,
-    log_gamma,
+    lambda_sup_zero_closed,
     sup_critical_point,
+    twice_nu,
 )
 
 # ln Gamma(10.3), 50-digit series evaluation (mpmath), frozen
@@ -37,65 +40,67 @@ MPMATH_CRITICAL_POINTS = {
 }
 
 
-class TestBesselOrder:
+class TestTwiceNu:
     def test_nu(self):
-        assert BesselOrder(3).nu == 1.5
-        assert BesselOrder.from_dim_degree(3, 1).twice_nu == 3
-        assert BesselOrder.from_dim_degree(2, 0).nu == 0.0
+        assert twice_nu(3, 1) == 3
+        assert twice_nu(2, 0) == 0
+        assert twice_nu(5, 2) == 7
+        assert type(twice_nu(4, 3)) is int
 
     def test_rejects_negative(self):
         with pytest.raises(SpecfunDomainError):
-            BesselOrder(-1)
+            bessel_j(-1, 1.0)
         with pytest.raises(SpecfunDomainError):
-            BesselOrder.from_dim_degree(1, 0)
+            twice_nu(1, 0)
+        with pytest.raises(SpecfunDomainError):
+            twice_nu(3, -1)
 
 
 class TestBesselJ:
     def test_at_zero(self):
-        assert bessel_j(BesselOrder(0), 0.0) == 1.0
-        assert bessel_j(BesselOrder(1), 0.0) == 0.0
-        assert bessel_j(BesselOrder(4), 0.0) == 0.0
+        # scipy's jv is exact at the origin
+        assert bessel_j(0, 0.0) == 1.0
+        assert bessel_j(1, 0.0) == 0.0
+        assert bessel_j(4, 0.0) == 0.0
+        assert list(bessel_j(np.array([0, 1, 4]), 0.0)) == [1.0, 0.0, 0.0]
 
     def test_half_order_closed_form(self):
         # J_{1/2}(r) = sqrt(2/(pi r)) sin r
         r = math.pi / 2
-        assert bessel_j(BesselOrder(1), r) == pytest.approx(2 / math.pi, rel=1e-12)
+        assert bessel_j(1, r) == pytest.approx(2 / math.pi, rel=1e-12)
 
     def test_peak_of_j1(self):
-        assert bessel_j(BesselOrder(2), 1.8411838) == pytest.approx(0.581865, abs=5e-7)
+        assert bessel_j(2, 1.8411838) == pytest.approx(0.581865, abs=5e-7)
 
     def test_domain_errors(self):
         with pytest.raises(SpecfunDomainError):
-            bessel_j(BesselOrder(0), -1.0)
+            bessel_j(0, -1.0)
         with pytest.raises(SpecfunDomainError):
-            bessel_j(BesselOrder(0), 1500.0)
+            bessel_j(0, 1500.0)
         with pytest.raises(SpecfunDomainError):
-            bessel_j(BesselOrder(130), 1.0)
+            bessel_j(130, 1.0)
 
     def test_array_matches_scalar_and_is_checked(self):
         r = np.array([0.5, 3.0, 40.0, 999.0])
-        got = bessel_j(BesselOrder(3), r)
-        assert list(got) == [bessel_j(BesselOrder(3), float(x)) for x in r]
+        got = bessel_j(3, r)
+        assert list(got) == [bessel_j(3, float(x)) for x in r]
         with pytest.raises(SpecfunDomainError):
-            bessel_j(BesselOrder(3), np.array([1.0, 1500.0]))
+            bessel_j(3, np.array([1.0, 1500.0]))
         with pytest.raises(SpecfunDomainError):
-            bessel_j(BesselOrder(3), np.array([-1.0, 1.0]))
+            bessel_j(3, np.array([-1.0, 1.0]))
         with pytest.raises(SpecfunDomainError):
-            bessel_j(BesselOrder(MAX_TWICE_NU + 1), r)
+            bessel_j(MAX_TWICE_NU + 1, r)
 
     def test_order_array_matches_single_orders(self):
         # one call, every order at every point by broadcasting
-        twice_nu = np.array([[0], [1], [3], [8], [MAX_TWICE_NU]])
+        orders = np.array([[0], [1], [3], [8], [MAX_TWICE_NU]])
         r = np.array([0.0, 1e-3, 0.5, 3.0, 40.0, 999.0])
-        got = bessel_j(twice_nu, r)
+        got = bessel_j(orders, r)
         assert got.shape == (5, 6)
-        for row, t in zip(got, twice_nu[:, 0]):
-            assert list(row) == [bessel_j(BesselOrder(int(t)), float(x)) for x in r]
+        for row, t in zip(got, orders[:, 0]):
+            assert list(row) == [bessel_j(int(t), float(x)) for x in r]
         # paired orders and points, as the critical-point search calls it
-        assert list(bessel_j(np.array([3, 5]), np.array([2.0, 7.0]))) == [
-            bessel_j(BesselOrder(3), 2.0),
-            bessel_j(BesselOrder(5), 7.0),
-        ]
+        assert list(bessel_j(np.array([3, 5]), np.array([2.0, 7.0]))) == [bessel_j(3, 2.0), bessel_j(5, 7.0)]
 
     @pytest.mark.parametrize(
         "twice_nu, r",
@@ -114,22 +119,22 @@ class TestBesselJ:
             bessel_j(np.asarray(twice_nu), np.asarray(r))
         assert calls == []
 
-    @pytest.mark.parametrize("twice_nu", [1, 3])
-    def test_half_integer_closed_forms_on_range(self, twice_nu):
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_half_integer_closed_forms_on_range(self, order):
         r = np.linspace(0.1, 500.0, 2000)
-        if twice_nu == 1:
+        if order == 1:
             exact = np.sqrt(2 / (np.pi * r)) * np.sin(r)
         else:
             exact = np.sqrt(2 / (np.pi * r)) * (np.sin(r) / r - np.cos(r))
-        got = jv(twice_nu / 2, r)
+        got = jv(order / 2, r)
         scale = np.maximum(np.abs(exact), 1e-3)
         assert np.max(np.abs(got - exact) / scale) < 1e-12
 
     def test_recurrence_residual(self):
         # (2 nu / r) J_nu = J_{nu-1} + J_{nu+1}
         rng = np.random.default_rng(7)
-        for twice_nu in range(2, 21):
-            nu = twice_nu / 2
+        for order in range(2, 21):
+            nu = order / 2
             r = rng.uniform(0.05, 200.0, size=200)
             lhs = (2 * nu / r) * jv(nu, r)
             jm, jp = jv(nu - 1, r), jv(nu + 1, r)
@@ -140,8 +145,8 @@ class TestBesselJ:
         # 2 J'_nu = J_{nu-1} - J_{nu+1}, J' by centered differences
         rng = np.random.default_rng(8)
         h = 1e-6
-        for twice_nu in range(2, 13):
-            nu = twice_nu / 2
+        for order in range(2, 13):
+            nu = order / 2
             r = rng.uniform(0.5, 100.0, size=100)
             deriv = (jv(nu, r + h) - jv(nu, r - h)) / (2 * h)
             jm, jp = jv(nu - 1, r), jv(nu + 1, r)
@@ -156,38 +161,45 @@ class TestBesselJ:
 
 
 class TestLogGamma:
+    """math.lgamma, which every Gamma-function closed form uses."""
+
     def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
+        assert math.lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
 
     def test_integer(self):
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
+        assert math.lgamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
 
     def test_frozen_oracle(self):
-        assert log_gamma(10.3) == pytest.approx(LOG_GAMMA_10_3, rel=1e-13)
+        assert math.lgamma(10.3) == pytest.approx(LOG_GAMMA_10_3, rel=1e-13)
 
     def test_domain(self):
+        # math.lgamma answers log|Gamma| at a negative non-integer, so each
+        # caller keeps its arguments positive by its own domain check
+        assert math.lgamma(-2.5) == pytest.approx(math.log(abs(math.gamma(-2.5))), rel=1e-13)
         with pytest.raises(SpecfunDomainError):
-            log_gamma(0.0)
+            lambda_sup_zero_closed(1)
         with pytest.raises(SpecfunDomainError):
-            log_gamma(-2.5)
+            lambda4_zero(2)
+        with pytest.raises(SpecfunDomainError):
+            upper_bound_U(3, 3.2, 1)  # the lower strip end, where lam = 0
 
 
 class TestLandauConstant:
     def test_value(self):
         # rounded up from 0.78574687... so that U stays an upper bound
-        assert 0.78574687 < landau_constant() <= 0.7857469
+        assert 0.78574687 < LANDAU_CONSTANT <= 0.7857469
 
     def test_dominates_scaled_profiles(self):
         # sampled max of |r^(1/3) J_nu(r)| over moderate orders
         r = np.arange(0.01, 60.0, 0.01)
         worst = 0.0
-        for twice_nu in range(2, 21):
-            worst = max(worst, float(np.max(r ** (1 / 3) * np.abs(jv(twice_nu / 2, r)))))
-        assert worst <= landau_constant() + 1e-6
+        for order in range(2, 21):
+            worst = max(worst, float(np.max(r ** (1 / 3) * np.abs(jv(order / 2, r)))))
+        assert worst <= LANDAU_CONSTANT + 1e-6
 
     def test_strict_at_j1_peak(self):
         r = J1_PRIME_FIRST_ZERO
-        assert r ** (1 / 3) * abs(jv(1, r)) < landau_constant()
+        assert r ** (1 / 3) * abs(jv(1, r)) < LANDAU_CONSTANT
 
 
 def critical_residual(d: int, k: int):
@@ -289,18 +301,19 @@ class TestSupCriticalPoint:
         assert np.all(residual(first_zero_lower_bound(nu)) < 0.0)
 
     def test_upper_bracket_end_below_first_zero(self):
-        for twice_nu in (2, 3, 4, 7, 12, 25, 50, 90, 118, 120):
-            nu = twice_nu / 2.0
-            first_zero = float(mpmath.besseljzero(mpmath.mpf(twice_nu) / 2, 1))
-            assert first_zero - first_zero_lower_bound(nu) > 0.26, twice_nu
+        for order in (2, 3, 4, 7, 12, 25, 50, 90, 118, 120):
+            nu = order / 2.0
+            first_zero = float(mpmath.besseljzero(mpmath.mpf(order) / 2, 1))
+            assert first_zero - first_zero_lower_bound(nu) > 0.26, order
 
 
-def bisection_zeros(nu: BesselOrder, upto: float) -> np.ndarray:
-    """The zeros of J_nu in (0, upto), each cell of a pi/2 grid bisected
-    until no midpoint falls strictly inside its bracket: the reference for
-    the Newton search."""
+def bisection_zeros(order: int, upto: float) -> np.ndarray:
+    """The zeros of J_nu, 2 nu = order, in (0, upto), each cell of a pi/2
+    grid bisected until no midpoint falls strictly inside its bracket: the
+    reference for the Newton search."""
+    nu = order / 2.0
     grid = np.linspace(0.0, upto, max(1, math.ceil(upto / (math.pi / 2.0))) + 1)
-    values = jv(nu.nu, grid)
+    values = jv(nu, grid)
     cells = np.flatnonzero(values[:-1] * values[1:] < 0.0)
     lo, hi = grid[cells], grid[cells + 1]
     lo_sign = np.sign(values[cells])
@@ -308,7 +321,7 @@ def bisection_zeros(nu: BesselOrder, upto: float) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         if not np.any((lo < mid) & (mid < hi)):
             return mid
-        below = np.sign(jv(nu.nu, mid)) == lo_sign
+        below = np.sign(jv(nu, mid)) == lo_sign
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
 
@@ -319,35 +332,83 @@ def within_ulps(got: np.ndarray, want: np.ndarray, ulps: int) -> bool:
 
 class TestBesselZeros:
     def test_every_order_within_4_ulp_of_bisection(self):
-        for twice_nu in range(MAX_TWICE_NU + 1):
-            nu = BesselOrder(twice_nu)
-            assert within_ulps(bessel_zeros(nu, 200.0), bisection_zeros(nu, 200.0), 4), twice_nu
+        for order in range(MAX_TWICE_NU + 1):
+            assert within_ulps(bessel_zeros(order, 200.0), bisection_zeros(order, 200.0), 4), order
 
-    @pytest.mark.parametrize("twice_nu", [0, 1, 7, 60, 119, MAX_TWICE_NU])
-    def test_to_the_argument_limit_within_4_ulp_of_bisection(self, twice_nu):
-        nu = BesselOrder(twice_nu)
-        got = bessel_zeros(nu, MAX_ARGUMENT)
-        assert within_ulps(got, bisection_zeros(nu, MAX_ARGUMENT), 4)
+    @pytest.mark.parametrize("order", [0, 1, 7, 60, 119, MAX_TWICE_NU])
+    def test_to_the_argument_limit_within_4_ulp_of_bisection(self, order):
+        got = bessel_zeros(order, MAX_ARGUMENT)
+        assert within_ulps(got, bisection_zeros(order, MAX_ARGUMENT), 4)
         assert 0.0 < got[0] and got[-1] < MAX_ARGUMENT and np.all(np.diff(got) > 3.0)
 
-    @pytest.mark.parametrize("twice_nu", [0, 1, 2, 3, 5, 8, 20, 60, MAX_TWICE_NU])
-    def test_against_mpmath(self, twice_nu):
-        zeros = bessel_zeros(BesselOrder(twice_nu), 200.0)
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 8, 20, 60, MAX_TWICE_NU])
+    def test_against_mpmath(self, order):
+        zeros = bessel_zeros(order, 200.0)
         for n in (1, 2, 10, len(zeros)):
-            want = float(mpmath.besseljzero(mpmath.mpf(twice_nu) / 2, n))
+            want = float(mpmath.besseljzero(mpmath.mpf(order) / 2, n))
             assert abs(zeros[n - 1] - want) <= 4 * np.spacing(want), n
 
-    @pytest.mark.parametrize("twice_nu", [MAX_TWICE_NU - 1, MAX_TWICE_NU])
-    def test_derivative_order_stays_within_the_limit(self, monkeypatch, twice_nu):
+    @pytest.mark.parametrize("order", [MAX_TWICE_NU - 1, MAX_TWICE_NU])
+    def test_derivative_order_stays_within_the_limit(self, monkeypatch, order):
         # J_nu' from J_{nu-1} where J_{nu+1} is past MAX_TWICE_NU
-        orders = []
-        monkeypatch.setattr(specfun, "jv", lambda nu, r: orders.append(np.max(nu)) or jv(nu, r))
-        bessel_zeros(BesselOrder(twice_nu), MAX_ARGUMENT)
-        assert max(orders) == twice_nu / 2
+        nus = []
+        monkeypatch.setattr(specfun, "jv", lambda nu, r: nus.append(np.max(nu)) or jv(nu, r))
+        bessel_zeros(order, MAX_ARGUMENT)
+        assert max(nus) == order / 2
 
     def test_jv_calls(self, monkeypatch):
         # the grid and a handful of Newton rounds; bisection took 52
         calls = []
         monkeypatch.setattr(specfun, "jv", lambda *a: calls.append(a) or jv(*a))
-        bessel_zeros(BesselOrder(3), 200.0)
+        bessel_zeros(3, 200.0)
         assert len(calls) <= 10
+
+
+def package_trees() -> dict:
+    """The syntax tree of every module of the package, by file name."""
+    return {path.name: ast.parse(path.read_text()) for path in sorted(Path(specfun.__file__).parent.glob("*.py"))}
+
+
+def references(tree: ast.AST, name: str) -> list:
+    """The innermost enclosing function (None at module level) of every use
+    of name, as a variable or an attribute, and of every import of it."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and name in (node.name, node.asname)
+        ):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+class TestOneJvCaller:
+    """bessel_j checks every order and argument against MAX_TWICE_NU and
+    MAX_ARGUMENT, so it must be the one path to scipy's jv."""
+
+    def test_only_specfun_imports_scipy(self):
+        importers = set()
+        for module, tree in package_trees().items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                    importers.add(module)
+        assert importers == {"specfun.py"}
+
+    def test_jv_is_referenced_only_inside_bessel_j(self):
+        uses = {module: references(tree, "jv") for module, tree in package_trees().items()}
+        # the module-level import, then the one call
+        assert {module: found for module, found in uses.items() if found} == {"specfun.py": [None, "bessel_j"]}

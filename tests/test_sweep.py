@@ -10,6 +10,7 @@ from besselnorms.norms import (
 )
 from besselnorms.sweep import (
     _MARGIN_FLOOR,
+    MAX_GRID_POINTS,
     Regime,
     SweepResult,
     _grid,
@@ -59,6 +60,16 @@ class TestGrid:
             grid = _grid(start, stop, step)
             assert grid == round_grid(start, stop, step), (start, stop)
             assert all(type(p) is float for p in grid)
+
+    def test_point_limit(self):
+        # the arange holds the grid and one point past stop
+        assert MAX_GRID_POINTS == 10**6
+        assert len(_grid(0.0, 0.999, 1e-6)) == 999_001
+        for start, stop in [(0.0, 1.0), (1.0, 0.0)]:
+            with pytest.raises(ValueError, match="more than MAX_GRID_POINTS"):
+                _grid(start, stop, 1e-6)
+        with pytest.raises(ValueError, match="more than MAX_GRID_POINTS"):
+            _grid(4.0, 60.0, 5e-324)  # the point count overflows to inf
 
 
 class TestSweepD2:
