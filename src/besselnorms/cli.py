@@ -16,7 +16,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import sys
 from datetime import datetime, timezone
 
@@ -125,11 +124,11 @@ def _parse_p(raw: str) -> float:
 
 def cmd_norm(args) -> list[dict]:
     p = _parse_p(args.p)
-    if math.isinf(p):
+    if p == INFINITY:
         nv = lambda_sup(args.d, args.k)
     else:
         nv = lambda_finite(NormKey(args.d, p, args.k), args.R)
-    params = {"d": args.d, "p": "inf" if math.isinf(p) else p, "k": args.k, "R": nv.R_used}
+    params = {"d": args.d, "p": "inf" if p == INFINITY else p, "k": args.k, "R": nv.R_used}
     return [_entry("norm", params, "PASS", nv.enclosure.lower, nv.enclosure.upper, method=nv.method.value)]
 
 
@@ -138,28 +137,11 @@ def _pair_exponent(args) -> float:
     check_admissible(args.d)
     if args.p is not None:
         return _parse_p(args.p)
-    if args.d == 2:
-        return 6.0
-    if args.d == 3:
-        return 4.0
-    return stein_tomas_exponent(args.d)
+    return {2: 6.0, 3: 4.0}.get(args.d, stein_tomas_exponent(args.d))
 
 
 def cmd_verify(args) -> list[dict]:
-    if args.claim == "sup-monotone":
-        record = verify_sup_monotone(args.d, args.K if args.K is not None else 10)
-        if args.d > 10:
-            record.notes.append("dimension beyond the published tables; engine extension")
-    elif args.claim == "p4":
-        record = verify_p4(args.d)
-    elif args.claim == "pst":
-        record = verify_pst(args.d)
-    elif args.claim == "holder-chain":
-        record = verify_holder_chain(args.d, _pair_exponent(args), args.k if args.k is not None else 1, args.R)
-    else:
-        record = verify_second_order_positivity(
-            args.d, _pair_exponent(args), args.K if args.K is not None else 8, args.R
-        )
+    record = args.verify(args)
     params = {key: ("inf" if v == INFINITY else v) for key, v in record.params.items()}
     witnesses = [{"description": desc, "value": _witness_value(v)} for desc, v in record.witnesses]
     fields = {"witnesses": witnesses, "k_explicit": record.k_explicit, "k_dominated_from": record.k_dominated_from}
@@ -173,7 +155,6 @@ def cmd_sweep(args) -> list[dict]:
             f"sweep-{res.regime.value}",
             {"d": res.d, "p_min": res.p_grid[0], "p_max": res.p_grid[-1], "step": args.step},
             "PASS" if res.certified_threshold is not None else "FAIL",
-            notes=res.notes,
             certified_threshold=res.certified_threshold,
             published_threshold=res.published_threshold,
             limit_margin=fmt(res.limit_margin) if res.limit_margin is not None else None,
@@ -232,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("json", "csv", "text"), default="text")
     shared.add_argument("--cache", default=None, help="JSON file that keeps computed integrals across runs (default: none)")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[shared], **kw))
+    # every subcommand takes the shared flags, except verify: its claims do
+    subparser = lambda parents=(shared,), **kw: argparse.ArgumentParser(parents=list(parents), **kw)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     p_norm = sub.add_parser("norm", help="compute one weighted norm")
     p_norm.add_argument("--d", type=int, required=True)
@@ -241,14 +224,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--R", type=float, default=None)
     p_norm.set_defaults(run=cmd_norm)
 
-    p_verify = sub.add_parser("verify", help="run one hierarchy or local check")
-    p_verify.add_argument("claim", choices=("sup-monotone", "p4", "pst", "holder-chain", "local-coefficients"))
-    p_verify.add_argument("--d", type=int, required=True)
-    p_verify.add_argument("--p", default=None)
-    p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--K", type=int, default=None)
-    p_verify.add_argument("--R", type=float, default=None)
-    p_verify.set_defaults(run=cmd_verify)
+    # one subparser per claim, with only the flags the claim reads
+    p_verify = sub.add_parser("verify", help="run one hierarchy or local check", parents=())
+    claims = p_verify.add_subparsers(dest="claim", required=True, parser_class=subparser)
+
+    def claim(name, verify):
+        p_claim = claims.add_parser(name)
+        p_claim.add_argument("--d", type=int, required=True)
+        p_claim.set_defaults(run=cmd_verify, verify=verify)
+        return p_claim
+
+    claim("sup-monotone", lambda a: verify_sup_monotone(a.d, a.K)).add_argument("--K", type=int, default=10)
+    claim("p4", lambda a: verify_p4(a.d))
+    claim("pst", lambda a: verify_pst(a.d))
+    holder = claim("holder-chain", lambda a: verify_holder_chain(a.d, _pair_exponent(a), a.k, a.R))
+    holder.add_argument("--k", type=int, default=1)
+    local = claim("local-coefficients", lambda a: verify_second_order_positivity(a.d, _pair_exponent(a), a.K, a.R))
+    local.add_argument("--K", type=int, default=8)
+    for pair in (holder, local):
+        pair.add_argument("--p", default=None)
+        pair.add_argument("--R", type=float, default=None)
 
     p_sweep = sub.add_parser("sweep", help="certify the exponent threshold for one dimension")
     p_sweep.add_argument("--d", type=int, required=True)
@@ -263,13 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _radius(args) -> float | None:
-    """--R as the command reads it: None for verify p4, pst and sup-monotone
-    and for norm --p inf, which accept --R and ignore it."""
-    if args.command == "norm" and not math.isinf(_parse_p(args.p)):
-        return args.R
-    if args.command == "verify" and args.claim in ("holder-chain", "local-coefficients"):
-        return args.R
-    return None
+    """--R as the command reads it: None where the command has no --R, and
+    for norm --p inf, which accepts --R and ignores it."""
+    if args.command == "norm" and _parse_p(args.p) == INFINITY:
+        return None
+    return getattr(args, "R", None)
 
 
 def main(argv: list[str] | None = None) -> int:

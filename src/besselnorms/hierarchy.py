@@ -5,8 +5,8 @@ by degree one at p = 4 and at the Stein-Tomas endpoint.
 The two degree hierarchies share one body, norms.best_k with top degree
 one: the decreasing Gamma-function bound U dominates all large degrees at
 once and explicit enclosures the small ones; each keeps only its own
-degree-one versus degree-zero step.  Every PASS rests on strictly separated
-enclosures.
+degree-one versus degree-zero step.  Every verdict is one norms.separate,
+and a claim's status is the worst of its verdicts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from .norms import (
     lambda4_zero,
     lambda_power,
     lambda_sup,
+    separate,
     stein_tomas_exponent,
+    worst,
 )
 from .quadrature import Enclosure
 
@@ -32,9 +34,6 @@ __all__ = [
     "verify_p4",
     "verify_pst",
 ]
-
-# a sup-norm gap must exceed this fraction of the larger value's upper end
-_SUP_GAP_FLOOR = 1e-9
 
 
 class ClaimId(str, Enum):
@@ -49,7 +48,7 @@ class ClaimId(str, Enum):
 class VerificationRecord:
     claim_id: ClaimId
     params: dict
-    status: Status
+    status: Status = Status.PASS
     witnesses: list = field(default_factory=list)
     k_explicit: int | None = None
     k_dominated_from: int | None = None
@@ -58,34 +57,27 @@ class VerificationRecord:
     def add(self, description: str, value) -> None:
         self.witnesses.append((description, value))
 
+    def separate(self, what: str, smaller: float, larger: float) -> None:
+        """One norms.separate verdict, folded into the status."""
+        self.status = worst(self.status, separate(what, smaller, larger, self.notes))
+
 
 def verify_sup_monotone(d: int, K: int) -> VerificationRecord:
     """Check that the sup norms strictly decrease in the degree, 0..K, all
-    computed by one lambda_sup batch."""
-    record = VerificationRecord(
-        claim_id=ClaimId.SUP_MONOTONE, params={"d": d, "K": K}, status=Status.PASS, k_explicit=K
-    )
+    computed by one lambda_sup batch; d > 10 is an engine extension."""
+    record = VerificationRecord(claim_id=ClaimId.SUP_MONOTONE, params={"d": d, "K": K}, k_explicit=K)
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
     values = lambda_sup(d, range(K + 1))
     for k, nv in enumerate(values):
         record.add(f"sup norm (d={d}, k={k})", nv)
     for k in range(1, K + 1):
-        gap = values[k - 1].enclosure.lower - values[k].enclosure.upper
-        floor = _SUP_GAP_FLOOR * values[k - 1].enclosure.upper
-        if gap <= floor:
-            record.status = Status.INCONCLUSIVE if gap > -floor else Status.FAIL
-            record.notes.append(f"gap at k={k} is {gap}")
+        record.separate(f"degree {k} vs degree {k - 1}", values[k].enclosure.upper, values[k - 1].enclosure.lower)
     if record.status is Status.PASS:
         record.notes.append(f"first gap {values[0].enclosure.lower - values[1].enclosure.upper}")
+    if d > 10:
+        record.notes.append("dimension beyond the published tables; engine extension")
     return record
-
-
-def _require_strict(record: VerificationRecord, smaller_upper: float, larger_lower: float, what: str) -> None:
-    if smaller_upper < larger_lower:
-        return
-    record.status = Status.INCONCLUSIVE
-    record.notes.append(f"{what}: {smaller_upper} not strictly below {larger_lower}")
 
 
 def _degree_one_dominates(record: VerificationRecord, R1: float, p_name: str, power_name: str) -> Enclosure:
@@ -102,9 +94,8 @@ def _degree_one_dominates(record: VerificationRecord, R1: float, p_name: str, po
     record.add(f"U(d,{p_name},{result.dominated_from})", result.u_dominated)
     for k, power in result.explicit:
         record.add(f"degree-{k} {power_name} on [0,200] + tail", power)
-    if result.status is not Status.PASS:
-        record.status = result.status
-        record.notes.extend(result.notes)
+    record.status = worst(record.status, result.status)
+    record.notes.extend(result.notes)
     return result.top_power
 
 
@@ -113,13 +104,13 @@ def verify_p4(d: int) -> VerificationRecord:
     and degree one by degree zero, for 3 <= d <= 10."""
     if not 3 <= d <= 10:
         raise ValueError(f"need 3 <= d <= 10, got {d}")
-    record = VerificationRecord(claim_id=ClaimId.P4_HIERARCHY, params={"d": d, "p": 4.0}, status=Status.PASS)
+    record = VerificationRecord(claim_id=ClaimId.P4_HIERARCHY, params={"d": d, "p": 4.0})
     power1 = _degree_one_dominates(record, 40.0, "4", "fourth power")
 
     # (d) degree one below degree zero (closed form)
     zero4 = lambda4_zero(d) ** 4
     record.add("degree-0 fourth power (closed form)", zero4)
-    _require_strict(record, power1.upper, zero4, "degree 1 vs degree 0")
+    record.separate("degree 1 vs degree 0", power1.upper, zero4)
     return record
 
 
@@ -128,11 +119,11 @@ def verify_pst(d: int) -> VerificationRecord:
     if not 4 <= d <= 10:
         raise ValueError(f"need 4 <= d <= 10, got {d}")
     p = stein_tomas_exponent(d)
-    record = VerificationRecord(claim_id=ClaimId.PST_HIERARCHY, params={"d": d, "p": p}, status=Status.PASS)
+    record = VerificationRecord(claim_id=ClaimId.PST_HIERARCHY, params={"d": d, "p": p})
     power1 = _degree_one_dominates(record, 50.0, "p_st", "power")
 
     # (d) degree one below degree zero; both estimated from [0, 50]
     power0 = lambda_power(NormKey(d, p, 0), R=50.0)
     record.add("degree-0 power on [0,50] + tail", power0)
-    _require_strict(record, power1.upper, power0.lower, "degree 1 vs degree 0")
+    record.separate("degree 1 vs degree 0", power1.upper, power0.lower)
     return record

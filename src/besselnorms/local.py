@@ -7,7 +7,7 @@ Both checks first certify, through norms.best_k with top degree zero, that
 degree zero has the largest norm: L0 > Lk for every k >= 1.  Hölder then
 gives M(k) <= L0^(p-2) Lk^2 < L0^p for every k >= 1, which keeps both
 coefficient groups positive in every degree; the explicit M(k) are
-witnesses.
+witnesses.  Every verdict is one norms.separate.
 
 The common (2 pi)^(p d / 2) prefactor cancels in every comparison made
 here, so all quantities are the normalized radial integrals.
@@ -55,8 +55,6 @@ class DeficitCoefficients:
     lambda0_p: Enclosure
     coeff_real_part: float
     coeff_modulus: float
-    modulus_group: float
-    combined_group: float
 
 
 def cross_norm(
@@ -76,23 +74,20 @@ def cross_norm(
 def deficit_coefficients(d: int, p: float, k: int, R: float | None = None) -> DeficitCoefficients:
     """Quadratic deficit coefficients for degree k >= 1 under worst-case ends.
 
-    The real-part group carries the sign flip (-1)^k of the degree; the
-    modulus group does not.  Both are evaluated at the enclosure ends that
-    minimize them, so positivity survives the rounding.  The combined group
-    is (p - 2) times the signed group plus the modulus group.
+    The real-part group L0^p - (-1)^k M(k) carries the sign flip of the
+    degree; the modulus group L0^p - M(k) does not.  Both are taken at the
+    enclosure ends that minimize them.  As M(k) >= 0, M(k) < L0^p makes both
+    positive, and (p - 2) times the first plus the second when p > 2.
     """
     if k < 1:
         raise ValueError(f"deficit coefficients are defined for k >= 1, got {k}")
     m = cross_norm(d, p, k, R)
     lam0p = lambda_power(NormKey(d, p, 0), R)
     signed_group = lam0p.lower - (m.upper if k % 2 == 0 else -m.lower)
-    modulus_group = lam0p.lower - m.upper
     return DeficitCoefficients(
         d=d, p=p, k=k, cross_norm=m, lambda0_p=lam0p,
         coeff_real_part=(p * (p - 2.0) / 4.0) * signed_group,
-        coeff_modulus=(p / 4.0) * modulus_group,
-        modulus_group=modulus_group,
-        combined_group=(p - 2.0) * signed_group + modulus_group,
+        coeff_modulus=(p / 4.0) * (lam0p.lower - m.upper),
     )
 
 
@@ -120,9 +115,7 @@ def verify_holder_chain(d: int, p: float, k: int, R: float | None = None) -> Ver
     reads L0^p < L0^p < L0^p and cannot separate, so k >= 1."""
     if k < 1:
         raise ValueError(f"the Holder chain needs a degree k >= 1, got k={k}")
-    record = VerificationRecord(
-        claim_id=ClaimId.HOLDER_CHAIN, params={"d": d, "p": p, "k": k}, status=Status.PASS
-    )
+    record = VerificationRecord(claim_id=ClaimId.HOLDER_CHAIN, params={"d": d, "p": p, "k": k})
     if not _degree_zero_dominates(record, R):
         return record
 
@@ -130,26 +123,20 @@ def verify_holder_chain(d: int, p: float, k: int, R: float | None = None) -> Ver
     lam0 = lambda_finite(NormKey(d, p, 0), R).enclosure
     lamk = lambda_finite(NormKey(d, p, k), R).enclosure
     lam0p = lambda_power(NormKey(d, p, 0), R)
-    product = Enclosure(
-        lam0.lower ** (p - 2.0) * lamk.lower**2,
-        lam0.upper ** (p - 2.0) * lamk.upper**2,
-        truncation_bound=0.5
-        * (lam0.upper ** (p - 2.0) * lamk.upper**2 - lam0.lower ** (p - 2.0) * lamk.lower**2),
-    )
+    lower = lam0.lower ** (p - 2.0) * lamk.lower**2
+    upper = lam0.upper ** (p - 2.0) * lamk.upper**2
+    product = Enclosure(lower, upper, truncation_bound=0.5 * (upper - lower))
     record.add("cross norm M(k)", m)
     record.add("Holder product L0^(p-2) Lk^2", product)
     record.add("degree-0 power L0^p", lam0p)
-    if not m.upper < product.lower:
-        record.status = Status.INCONCLUSIVE
-        record.notes.append(f"first link not separated: {m.upper} vs {product.lower}")
-    if not product.upper < lam0p.lower:
-        record.status = Status.INCONCLUSIVE
-        record.notes.append(f"second link not separated: {product.upper} vs {lam0p.lower}")
+    record.separate("M(k) vs L0^(p-2) Lk^2", m.upper, product.lower)
+    record.separate("L0^(p-2) Lk^2 vs L0^p", product.upper, lam0p.lower)
     return record
 
 
 def verify_second_order_positivity(d: int, p: float, K: int, R: float | None = None) -> VerificationRecord:
-    """Check positivity of both quadratic coefficient groups for k = 1..K.
+    """Check positivity of both quadratic coefficient groups for k = 1..K,
+    one separation M(k) < L0^p per degree (see deficit_coefficients).
 
     Degree zero is excluded: there the perturbation renormalizes the constant
     itself and the coefficient question degenerates; so K >= 1.
@@ -159,7 +146,6 @@ def verify_second_order_positivity(d: int, p: float, K: int, R: float | None = N
     record = VerificationRecord(
         claim_id=ClaimId.SECOND_ORDER_POSITIVITY,
         params={"d": d, "p": p, "K": K},
-        status=Status.PASS,
         k_explicit=K,
     )
     if not _degree_zero_dominates(record, R):
@@ -173,9 +159,5 @@ def verify_second_order_positivity(d: int, p: float, K: int, R: float | None = N
     for k in range(1, K + 1):
         coeffs = deficit_coefficients(d, p, k, R)
         record.add(f"coefficients at k={k}", coeffs)
-        if not (coeffs.modulus_group > 0.0 and coeffs.combined_group > 0.0):
-            record.status = Status.INCONCLUSIVE
-            record.notes.append(
-                f"k={k}: modulus group {coeffs.modulus_group}, combined group {coeffs.combined_group}"
-            )
+        record.separate(f"M({k}) vs L0^p", coeffs.cross_norm.upper, coeffs.lambda0_p.lower)
     return record

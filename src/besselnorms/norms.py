@@ -23,6 +23,7 @@ from .specfun import (
     check_admissible,
     first_zero_estimate,
     lambda_sup_zero_closed,
+    log_c0,
     sup_critical_point,
     twice_nu,
 )
@@ -33,6 +34,10 @@ __all__ = [
     "NormValue",
     "Method",
     "Status",
+    "SEPARATION_RTOL",
+    "worst",
+    "strictly_below",
+    "separate",
     "BestKResult",
     "lambda_finite",
     "lambda_power",
@@ -61,6 +66,34 @@ class Status(str, Enum):
     PASS = "PASS"
     FAIL = "FAIL"
     INCONCLUSIVE = "INCONCLUSIVE"
+
+
+# Every verdict compares two positive computed bounds, the smaller side's
+# upper end against the larger side's lower end, both moved outward by this
+# relative allowance.  It covers their rounding: U and L0 are within 6e-14 of
+# exact, powers of enclosure ends are off by a few ulp, and the sup norms
+# carry 1e-11 slack.
+SEPARATION_RTOL = 1e-9
+
+
+def worst(*statuses: Status) -> Status:
+    """The status of a claim from its verdicts: FAIL over INCONCLUSIVE over PASS."""
+    return max(statuses, key=(Status.PASS, Status.INCONCLUSIVE, Status.FAIL).index)
+
+
+def strictly_below(smaller, larger):
+    """smaller < larger for positive values, both first moved outward by
+    SEPARATION_RTOL; arrays compare element by element."""
+    return smaller * (1.0 + SEPARATION_RTOL) < larger * (1.0 - SEPARATION_RTOL)
+
+
+def separate(what: str, smaller: float, larger: float, notes: list) -> Status:
+    """PASS when smaller is strictly below larger, FAIL when the order is
+    strictly reversed, INCONCLUSIVE otherwise; a note when not PASS."""
+    if strictly_below(smaller, larger):
+        return Status.PASS
+    notes.append(f"{what}: {smaller} not strictly below {larger}")
+    return Status.FAIL if strictly_below(larger, smaller) else Status.INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -242,7 +275,7 @@ def lower_bound_L0(d: int, p):
     check_admissible(d, p=float(np.min(exps)))
     lg_half = math.lgamma(d / 2.0)
     log_prefactor = ((d - 1) * math.log(2.0) + (d / 2.0) * math.log(d / 2.0)) / exps
-    log_prefactor -= (d / 2.0 - 1.0) * math.log(2.0) + lg_half
+    log_prefactor += log_c0(d)
     log_ratio = np.array([math.lgamma(x + 1.0) + lg_half - math.lgamma(x + d / 2.0 + 1.0) for x in exps.tolist()])
     log_ratio /= exps
     bound = np.exp(log_prefactor + log_ratio)
@@ -270,12 +303,12 @@ def best_k(d: int, p: float, top: int, R_top: float | None = None, R: float | No
 
     1. Enclose the p-th power of degree `top` on [0, R_top] plus tail; its
        lower end is the bar.
-    2. k_dom is the first degree above `top` where U(d, p, k_dom) falls below
-       the bar.  U strictly decreases in k and tends to 0 (see upper_bound_U),
+    2. k_dom is the first degree above `top` with U(d, p, k_dom)
+       strictly_below the bar; U decreases strictly to 0 in k (upper_bound_U),
        so this settles every k >= k_dom at once.  A degree below k_dom whose
        order exceeds MAX_TWICE_NU cannot be enclosed: SpecfunDomainError.
-    3. Enclose each degree strictly between on [0, R] plus tail; an upper end
-       not strictly below the bar gives INCONCLUSIVE, never a forced PASS.
+    3. Enclose each degree strictly between on [0, R] plus tail and separate
+       its upper end from the bar; the status is the worst of these verdicts.
     """
     lo_strip, hi_strip = validity_strip(d)
     if not lo_strip < p < hi_strip:
@@ -283,7 +316,7 @@ def best_k(d: int, p: float, top: int, R_top: float | None = None, R: float | No
     top_power = lambda_power(NormKey(d, p, top), R_top)
     bar = top_power.lower
     k_dom = top + 1
-    while (u_dom := upper_bound_U(d, p, k_dom)) >= bar:
+    while not strictly_below(u_dom := upper_bound_U(d, p, k_dom), bar):
         # degree k_dom joins the explicit ones, which bessel_j must reach
         if (order := twice_nu(d, k_dom)) > MAX_TWICE_NU:
             raise SpecfunDomainError(
@@ -294,7 +327,6 @@ def best_k(d: int, p: float, top: int, R_top: float | None = None, R: float | No
     for k in range(top + 1, k_dom):
         power = lambda_power(NormKey(d, p, k), R)
         result.explicit.append((k, power))
-        if not power.upper < bar:
-            result.status = Status.INCONCLUSIVE
-            result.notes.append(f"degree {k} vs degree {top}: {power.upper} not strictly below {bar}")
+        verdict = separate(f"degree {k} vs degree {top}", power.upper, bar, result.notes)
+        result.status = worst(result.status, verdict)
     return result

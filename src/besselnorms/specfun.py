@@ -22,6 +22,7 @@ __all__ = [
     "twice_nu",
     "bessel_j",
     "bessel_zeros",
+    "log_c0",
     "lambda_sup_zero_closed",
     "sup_critical_point",
     "first_zero_lower_bound",
@@ -168,13 +169,17 @@ def bessel_zeros(order: int, upto: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def log_c0(d: int) -> float:
+    """log c0 = (1 - d/2) log 2 - log Gamma(d/2); see lambda_sup_zero_closed."""
+    return (1.0 - d / 2.0) * math.log(2.0) - math.lgamma(d / 2.0)
+
+
 def lambda_sup_zero_closed(d: int) -> float:
     """c0 = 1 / (2^(d/2-1) Gamma(d/2)), the value of r^(1-d/2) J_{d/2-1}(r)
     at r = 0: the leading coefficient of its series there, and the sup norm
     of degree zero, which that profile takes at the origin."""
-    if d < 2:
-        raise SpecfunDomainError(f"need d >= 2, got {d}")
-    return math.exp((1.0 - d / 2.0) * math.log(2.0) - math.lgamma(d / 2.0))
+    check_admissible(d)
+    return math.exp(log_c0(d))
 
 
 def first_zero_lower_bound(nu: float) -> float:

@@ -10,28 +10,27 @@ the degree-one sup norm (p1 = inf); step 2, for the middle dimensions,
 between the Stein-Tomas endpoint p_st(d) and p = 4.
 
 All upper bounds use enclosure upper ends and all lower bounds the closed
-form, so a positive margin cannot be an artifact of optimistic rounding.
+form, and norms.strictly_below separates the two at every point.
 
 A grid is one array: its points come from np.arange and np.round, and its
-margins from one array expression over lower_bound_L0 of the whole grid.
-SweepResult keeps the grid and the margins as lists.
+margins and separations from one array expression over lower_bound_L0 of
+the whole grid.  SweepResult keeps the grid and the margins as lists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .golden import THRESHOLDS
-from .norms import NormKey, lambda_power, lambda_sup, lower_bound_L0, stein_tomas_exponent
+from .norms import NormKey, lambda_power, lambda_sup, lower_bound_L0, stein_tomas_exponent, strictly_below
 from .specfun import lambda_sup_zero_closed
 
 __all__ = ["Regime", "SweepResult", "p0_report"]
 
-_MARGIN_FLOOR = 1e-8
 # dimensions whose threshold lies below p = 4, so a second sweep on
 # [p_st(d), 4] is stitched to the step-1 sweep at the seam p = 4
 _STEP2_DIMENSIONS = range(4, 9)
@@ -58,14 +57,6 @@ class SweepResult:
     certified_threshold: float | None
     published_threshold: float
     limit_margin: float | None = None
-    notes: list = field(default_factory=list)
-
-
-def _threshold_from_grid(p_grid, margins) -> float | None:
-    """Smallest grid exponent from which every later margin stays positive."""
-    bad = np.flatnonzero(np.asarray(margins) <= _MARGIN_FLOOR)
-    first = bad[-1] + 1 if bad.size else 0
-    return p_grid[first] if first < len(p_grid) else None
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
@@ -84,18 +75,24 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     return grid[(grid >= stop - 1e-12) if descending else (grid <= stop + 1e-12)].tolist()
 
 
-def _sweep(d, regime, grid, low, high, limit_margin=None) -> SweepResult:
-    """Margins on grid of the L0 lower bound over the Hölder interpolation
-    between the anchors low = (p0, n0) and high = (p1, n1), norm upper ends;
-    a limit margin at or below the floor voids the threshold."""
+def _sweep(d, regime, grid, low, high, zero_limit=None) -> SweepResult:
+    """The L0 lower bound against the Hölder interpolation between the
+    anchors low = (p0, n0) and high = (p1, n1), norm upper ends, on grid;
+    zero_limit, the degree-zero norm at p1, adds n1 < zero_limit as one more
+    point.  The threshold is the first point from which all are separated."""
     (p0, n0), (p1, n1) = low, high
     p = np.array(grid)
     t = (1.0 / p0 - 1.0 / p) / (1.0 / p0 - 1.0 / p1)
-    margins = (lower_bound_L0(d, p) - n0 ** (1.0 - t) * n1**t).tolist()
-    threshold = _threshold_from_grid(grid, margins)
-    if limit_margin is not None and limit_margin <= _MARGIN_FLOOR:
-        threshold = None
-    return SweepResult(d, regime, grid, margins, threshold, THRESHOLDS[d], limit_margin)
+    upper = n0 ** (1.0 - t) * n1**t
+    lower = lower_bound_L0(d, p)
+    separated = strictly_below(upper, lower)
+    if zero_limit is not None:
+        separated = np.append(separated, strictly_below(n1, zero_limit))
+    bad = np.flatnonzero(~separated)
+    first = bad[-1] + 1 if bad.size else 0
+    threshold = grid[first] if first < len(grid) else None
+    limit_margin = None if zero_limit is None else zero_limit - n1
+    return SweepResult(d, regime, grid, (lower - upper).tolist(), threshold, THRESHOLDS[d], limit_margin)
 
 
 def p0_report(d: int, step: float = 0.01) -> tuple[float | None, list[SweepResult]]:
@@ -118,7 +115,7 @@ def p0_report(d: int, step: float = 0.01) -> tuple[float | None, list[SweepResul
         anchor = (4.0, lambda_power(NormKey(d, 4.0, 1), R=40.0).upper ** 0.25)
     sup1 = lambda_sup(d, 1).enclosure.upper
     regime = Regime.D2_SIX_INF if d == 2 else Regime.STEP1_FOUR_INF
-    res1 = _sweep(d, regime, grid1, anchor, (math.inf, sup1), lambda_sup_zero_closed(d) - sup1)
+    res1 = _sweep(d, regime, grid1, anchor, (math.inf, sup1), lambda_sup_zero_closed(d))
     results = [res1]
     threshold = res1.certified_threshold
     if d in _STEP2_DIMENSIONS:

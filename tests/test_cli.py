@@ -70,6 +70,14 @@ class TestNormCommand:
         code, _ = run(capsys, "norm", "--d", "2", "--p", "abc", "--k", "0", "--cache", cache_file)
         assert code == 2
 
+    @pytest.mark.parametrize("exponent", ["-inf", "-Infinity", "-1e400"])
+    def test_negative_infinite_exponent_exits_2(self, capsys, cache_file, exponent):
+        # only +inf selects the sup norm; -inf is an inadmissible exponent
+        code = main(["norm", "--d", "3", f"--p={exponent}", "--k", "1", "--cache", cache_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "inadmissible exponent p=-inf" in captured.err
+
     def test_sup_order_beyond_accuracy_limit_exits_2(self, capsys, cache_file):
         code, _ = run(capsys, "norm", "--d", "3", "--p", "inf", "--k", "60", "--cache", cache_file)
         assert code == 2
@@ -458,6 +466,52 @@ class TestCache:
         assert capsys.readouterr().out == ""
 
 
+class TestVerifyFlags:
+    """Each verify claim takes only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("p4", "--d", "3", "--p", "5"),
+            ("p4", "--d", "3", "--k", "7"),
+            ("p4", "--d", "3", "--R", "5"),
+            ("pst", "--d", "4", "--R", "50"),
+            ("pst", "--d", "4", "--K", "3"),
+            ("sup-monotone", "--d", "3", "--p", "3"),
+            ("sup-monotone", "--d", "3", "--K", "4", "--R", "5"),
+            ("holder-chain", "--d", "3", "--K", "9"),
+            ("local-coefficients", "--d", "3", "--k", "2"),
+        ],
+        ids=["p4-p", "p4-k", "p4-R", "pst-R", "pst-K", "sup-monotone-p", "sup-monotone-R", "holder-chain-K", "local-k"],
+    )
+    def test_flag_the_claim_does_not_read_exits_2(self, capsys, monkeypatch, argv):
+        searches = count_calls(monkeypatch, norms, "lambda_power")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == "" and searches == []
+
+    def test_shared_flags_follow_the_claim(self, capsys):
+        code, report = run_json(capsys, "verify", "sup-monotone", "--d", "3", "--K", "4")
+        assert code == 0 and report["entries"][0]["params"] == {"d": 3, "K": 4}
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "json", "sup-monotone", "--d", "3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,params",
+        [
+            (("sup-monotone", "--d", "3"), {"d": 3, "K": 10}),
+            (("holder-chain", "--d", "3"), {"d": 3, "p": 4.0, "k": 1}),
+            (("local-coefficients", "--d", "2", "--K", "1"), {"d": 2, "p": 6.0, "K": 1}),
+        ],
+        ids=["sup-monotone", "holder-chain", "local-coefficients"],
+    )
+    def test_defaults(self, capsys, argv, params):
+        code, report = run_json(capsys, "verify", *argv)
+        assert code == 0 and report["entries"][0]["params"] == params
+
+
 class TestReportConfig:
     def test_digest_ignores_output_format(self, capsys, cache_file):
         args = ("norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
@@ -473,9 +527,9 @@ class TestReportConfig:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("verify", "p4", "--d", "3"),
-            ("verify", "pst", "--d", "4"),
-            ("verify", "sup-monotone", "--d", "3", "--K", "4"),
+            ("norm", "--d", "2", "--p", "inf", "--k", "0"),
+            ("norm", "--d", "3", "--p", "Infinity", "--k", "1"),
+            ("norm", "--d", "4", "--p", "1e400", "--k", "1"),
             ("norm", "--d", "3", "--p", "inf", "--k", "2"),
         ],
     )

@@ -9,7 +9,7 @@ from besselnorms.hierarchy import (
     verify_pst,
     verify_sup_monotone,
 )
-from besselnorms.norms import NormKey, Status, best_k, upper_bound_U
+from besselnorms.norms import INFINITY, Method, NormKey, NormValue, Status, best_k, upper_bound_U
 from besselnorms.quadrature import Enclosure
 from besselnorms.specfun import SpecfunDomainError
 
@@ -34,6 +34,23 @@ class TestSupMonotone:
         record = verify_sup_monotone(12, 30)
         assert record.status is Status.PASS
         assert record.witnesses[-1][1].enclosure.upper < 3e-9
+
+    def test_fail_is_not_overwritten_by_a_later_overlap(self, monkeypatch):
+        # degree 1 strictly above degree 0 fails; degree 2 equal to degree 1
+        # cannot be separated; the claim takes the worst verdict
+        def faked(d, ks):
+            return [
+                NormValue(NormKey(d, INFINITY, k), Enclosure.point(v), 1.0, Method.CRITICAL_POINT)
+                for k, v in zip(ks, [1.0, 2.0, 2.0, 0.5])
+            ]
+
+        monkeypatch.setattr(hierarchy, "lambda_sup", faked)
+        record = verify_sup_monotone(3, 3)
+        assert record.status is Status.FAIL
+        assert record.notes == [
+            "degree 1 vs degree 0: 2.0 not strictly below 1.0",
+            "degree 2 vs degree 1: 2.0 not strictly below 2.0",
+        ]
 
     def test_needs_at_least_two_steps(self):
         with pytest.raises(ValueError):
@@ -98,15 +115,27 @@ class TestPstHierarchy:
         witnesses = dict(record.witnesses)
         assert witnesses["degree-1 power on [0,50] + tail"].upper < witnesses["degree-0 power on [0,50] + tail"].lower
 
-    def test_degree_zero_below_degree_one_is_inconclusive(self, monkeypatch):
-        # only the degree-zero step reads hierarchy.lambda_power; best_k reads norms'
+    @staticmethod
+    def with_degree_zero_at(monkeypatch, factor):
+        """verify_pst(4) with degree zero a point at factor times degree one's
+        upper end; only the degree-zero step reads hierarchy.lambda_power,
+        best_k reads norms'."""
+
         def lowered(key, R=None):
-            return Enclosure.point(0.999 * norms.lambda_power(NormKey(key.d, key.p, 1), R).upper)
+            return Enclosure.point(factor * norms.lambda_power(NormKey(key.d, key.p, 1), R).upper)
 
         monkeypatch.setattr(hierarchy, "lambda_power", lowered)
         record = verify_pst(4)
-        assert record.status is Status.INCONCLUSIVE
         assert any(note.startswith("degree 1 vs degree 0") for note in record.notes)
+        return record
+
+    def test_degree_zero_below_degree_one_fails(self, monkeypatch):
+        # a strict reversal
+        assert self.with_degree_zero_at(monkeypatch, 0.999).status is Status.FAIL
+
+    def test_degree_zero_overlapping_degree_one_is_inconclusive(self, monkeypatch):
+        # degree zero at degree one's upper end: neither order is strict
+        assert self.with_degree_zero_at(monkeypatch, 1.0).status is Status.INCONCLUSIVE
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
+import besselnorms.sweep as sweep
 from besselnorms.golden import THRESHOLDS
 from besselnorms.norms import (
     NormKey,
@@ -7,14 +11,14 @@ from besselnorms.norms import (
     lambda_sup,
     lower_bound_L0,
     stein_tomas_exponent,
+    strictly_below,
 )
 from besselnorms.sweep import (
-    _MARGIN_FLOOR,
     MAX_GRID_POINTS,
     Regime,
     SweepResult,
     _grid,
-    _threshold_from_grid,
+    _sweep,
     p0_report,
 )
 
@@ -28,15 +32,30 @@ def step2(d: int) -> SweepResult:
     return res
 
 
+def separated(res: SweepResult):
+    """strictly_below of each grid point's interpolated upper against L0,
+    the upper recovered from the recorded margin."""
+    lower = lower_bound_L0(res.d, np.array(res.p_grid))
+    return strictly_below(lower - np.array(res.margins), lower)
+
+
 class TestThresholdFromGrid:
-    def test_all_positive_returns_first_point(self):
-        assert _threshold_from_grid([4.0, 4.01, 4.02], [1.0, 1.0, 1.0]) == 4.0
+    # both anchors at norm 1, so the interpolated upper is 1 at every point
+    # and the grid's L0 values decide alone
+    @staticmethod
+    def threshold(monkeypatch, grid, l0):
+        monkeypatch.setattr(sweep, "lower_bound_L0", lambda d, p: np.array(l0))
+        return _sweep(3, Regime.STEP1_FOUR_INF, grid, (4.0, 1.0), (math.inf, 1.0)).certified_threshold
 
-    def test_first_point_after_last_failure(self):
-        assert _threshold_from_grid([4.0, 4.01, 4.02], [-1.0, 1e-12, 1.0]) == 4.02
+    def test_all_positive_returns_first_point(self, monkeypatch):
+        assert self.threshold(monkeypatch, [4.0, 4.01, 4.02], [2.0, 2.0, 2.0]) == 4.0
 
-    def test_failure_at_the_end_means_no_threshold(self):
-        assert _threshold_from_grid([4.0, 4.01], [1.0, -1.0]) is None
+    def test_first_point_after_last_failure(self, monkeypatch):
+        # a margin of 1e-12 of the value is inside the separation allowance
+        assert self.threshold(monkeypatch, [4.0, 4.01, 4.02], [0.5, 1.0 + 1e-12, 2.0]) == 4.02
+
+    def test_failure_at_the_end_means_no_threshold(self, monkeypatch):
+        assert self.threshold(monkeypatch, [4.0, 4.01], [2.0, 0.5]) is None
 
 
 def round_grid(start, stop, step):
@@ -78,7 +97,7 @@ class TestSweepD2:
         res = step1(2)
         assert res.regime is Regime.D2_SIX_INF
         assert res.certified_threshold == 6.0
-        assert all(m > _MARGIN_FLOOR for m in res.margins)
+        assert separated(res).all()
         assert res.limit_margin is not None and res.limit_margin > 0
 
 
@@ -92,7 +111,7 @@ class TestSweepStep1:
         # the margin is negative on part of the grid, so the certified
         # threshold sits strictly above the seam
         res = step1(9)
-        assert min(res.margins) <= _MARGIN_FLOOR
+        assert not separated(res).all()
         assert 4.0 < res.certified_threshold <= THRESHOLDS[9]
 
     def test_grid_runs_from_the_anchor_to_the_limit_switch(self):
@@ -196,5 +215,5 @@ class TestP0Report:
         # a step of 100 leaves the d = 10 step-1 grid the single point p = 4,
         # where the margin is negative
         threshold, (res,) = p0_report(10, step=100.0)
-        assert res.p_grid == [4.0] and res.margins[0] <= _MARGIN_FLOOR
+        assert res.p_grid == [4.0] and not separated(res)[0]
         assert threshold is None and res.certified_threshold is None
