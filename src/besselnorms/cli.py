@@ -206,6 +206,17 @@ def cmd_reproduce(args) -> list[dict]:
     ]
 
 
+class _Subparser(argparse.ArgumentParser):
+    """A subcommand's parser: an argument it does not take is an error
+    under its own usage, which names the flags it does take."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
@@ -214,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=("json", "csv", "text"), default="text")
     shared.add_argument("--cache", default=None, help="JSON file that keeps computed integrals across runs (default: none)")
     # every subcommand takes the shared flags, except verify: its claims do
-    subparser = lambda parents=(shared,), **kw: argparse.ArgumentParser(parents=list(parents), **kw)
+    subparser = lambda parents=(shared,), **kw: _Subparser(parents=list(parents), **kw)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     p_norm = sub.add_parser("norm", help="compute one weighted norm")

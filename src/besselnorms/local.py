@@ -17,23 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import store
 from .hierarchy import ClaimId, VerificationRecord
-from .norms import (
-    NormKey,
-    Status,
-    best_k,
-    default_radius,
-    lambda_finite,
-    lambda_power,
-)
-from .quadrature import (
-    DEFAULT_QUAD_CONFIG,
-    Enclosure,
-    QuadConfig,
-    cross_tail_bound,
-    integrate_cross_term,
-)
+from .norms import NormKey, Status, best_k, lambda_finite, lambda_power, radial_integral
+from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig
 
 __all__ = [
     "DeficitCoefficients",
@@ -66,9 +52,7 @@ def cross_norm(
     benchmark tracer (perfbench/tracing.py) reads it by name to tell cross
     integrals apart.
     """
-    R = default_radius(d, k) if R is None else R
-    truncated = store.current().enclosure("cross", integrate_cross_term, d, p, k, R, cfg)
-    return truncated.with_tail(cross_tail_bound(d, p, k, R))
+    return radial_integral("cross", d, p, k, R, cfg)
 
 
 def deficit_coefficients(d: int, p: float, k: int, R: float | None = None) -> DeficitCoefficients:

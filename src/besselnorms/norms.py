@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from . import store
-from .quadrature import Enclosure, integrate_weighted_power, tail_bound, zero_order_tail_bound
+from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig, integrate_weighted_power, tail_bound
 from .specfun import (
     LANDAU_CONSTANT,
     MAX_TWICE_NU,
@@ -41,6 +41,7 @@ __all__ = [
     "BestKResult",
     "lambda_finite",
     "lambda_power",
+    "radial_integral",
     "truncated_power",
     "lambda_sup",
     "lambda4_zero",
@@ -146,23 +147,27 @@ def clear_memo_cache() -> None:
     store.current().data.clear()
 
 
-def _tail_for(key: NormKey, R: float) -> float:
-    if key.d == 2 and key.k == 0:
-        return zero_order_tail_bound(key.p, R)
-    return tail_bound(key.d, key.p, key.k, R)
-
-
 def truncated_power(key: NormKey, R: float) -> Enclosure:
     """The stored integral of the p-th power on [0, R], without its tail."""
     return store.current().enclosure("power", integrate_weighted_power, key.d, key.p, key.k, R)
 
 
+def radial_integral(
+    kind: str, d: int, p: float, k: int, R: float | None = None, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
+) -> Enclosure:
+    """Enclosure of the integral of the given kind (quadrature._factors) on
+    [0, infinity): the stored integral on [0, R] plus its tail bound, R
+    defaulting to default_radius(d, k)."""
+    if math.isinf(p):
+        raise SpecfunDomainError("a radial integral needs a finite exponent")
+    R = default_radius(d, k) if R is None else R
+    truncated = store.current().enclosure(kind, integrate_weighted_power, d, p, k, R, cfg)
+    return truncated.with_tail(tail_bound(d, p, k, R, kind))
+
+
 def lambda_power(key: NormKey, R: float | None = None) -> Enclosure:
     """Enclosure of the p-th power of the norm: truncated integral plus tail."""
-    if key.is_sup:
-        raise SpecfunDomainError("lambda_power needs a finite exponent")
-    R = default_radius(key.d, key.k) if R is None else R
-    return truncated_power(key, R).with_tail(_tail_for(key, R))
+    return radial_integral("power", key.d, key.p, key.k, R)
 
 
 def lambda_finite(key: NormKey, R: float | None = None) -> NormValue:

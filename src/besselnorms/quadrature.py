@@ -1,14 +1,21 @@
 """Panel-based Gaussian integration of weighted Bessel integrands on [0, R],
 with analytic tail bounds on [R, infinity).
 
+Every integral is a product of factors |A_j|^e times r^(d-1), where
+A_j(r) = J_{d/2-1+j}(r) r^(1-d/2); _factors holds the one table of (j, e):
+kind "power" is |A_k|^p, the p-th power of the degree-k norm, and kind
+"cross" is |A_0|^(p-2) |A_k|^2, the cross integral M(k) of the local checks.
+The integrand, the kink rule and the tail bound all read that table.
+
 Each integral is reported as an Enclosure: a truncated value bracketed by a
 summed per-panel error estimate (difference of two Gauss orders), plus a
-separately tracked tail contribution.  Where the exponent on |J_nu| is even,
-the integrand is smooth and the starting panels are equal steps no wider than
+separately tracked tail contribution.  Where every exponent is even, the
+integrand is smooth and the starting panels are equal steps no wider than
 a fraction of the Bessel oscillation period, integrated by Gauss-Legendre.
-Where it is not, the integrand behaves like |r - z|^alpha at each zero z of
-J_nu, so the starting panels run from zero to zero and a panel end at a zero
-carries the Gauss-Jacobi weight (1 -+ x)^alpha: the rule then takes that
+Where one is not, the integrand behaves like |r - z|^e at each zero z of
+that factor's J_nu (exponent 2 is smooth, so at most one factor kinks), so
+the starting panels run from zero to zero and a panel end at a zero
+carries the Gauss-Jacobi weight (1 -+ x)^e: the rule then takes that
 endpoint behaviour exactly and integrates an analytic factor.  Panels are
 halved where the estimate is large, and each panel is evaluated once.  The
 error stays an estimate, |high-order - low-order|, not a proven bound.
@@ -32,12 +39,7 @@ __all__ = [
     "DEFAULT_QUAD_CONFIG",
     "QuadratureError",
     "integrate_weighted_power",
-    "integrate_cross_term",
     "tail_bound",
-    "zero_order_tail_bound",
-    "cross_tail_bound",
-    "weighted_power_integrand",
-    "cross_term_integrand",
 ]
 
 # |J_0(r)| <= sqrt(2/(pi r)) for r > 0; the factor absorbs the asymptotic
@@ -153,21 +155,22 @@ def _amplitude(d: int, k: int, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def weighted_power_integrand(d: int, p: float, k: int) -> Callable[[np.ndarray], np.ndarray]:
-    """|J_{d/2-1+k}(r) r^(1-d/2)|^p r^(d-1) as a vectorized callable."""
+def _factors(d: int, p: float, k: int, kind: str) -> tuple[tuple[int, float], ...]:
+    """The integrand's factors (degree j, exponent e), each |A_j|^e; the
+    exponents sum to p in both kinds."""
+    if kind == "power":
+        return ((k, p),)
+    if kind == "cross":
+        return ((0, p - 2.0), (k, 2))
+    raise ValueError(f"unknown integral kind {kind!r}")
+
+
+def _integrand(d: int, factors: tuple[tuple[int, float], ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """The product of |A_j|^e over the factors, in table order, times r^(d-1)."""
 
     def f(r: np.ndarray) -> np.ndarray:
-        return _amplitude(d, k, r) ** p * r ** (d - 1.0)
-
-    return f
-
-
-def cross_term_integrand(d: int, p: float, k: int) -> Callable[[np.ndarray], np.ndarray]:
-    """|J_{d/2-1}|^(p-2) |J_{d/2-1+k}|^2 r^(d-1+p(1-d/2)) as a callable."""
-
-    def f(r: np.ndarray) -> np.ndarray:
-        base = _amplitude(d, 0, r) ** (p - 2.0)
-        return base * _amplitude(d, k, r) ** 2 * r ** (d - 1.0)
+        amplitudes = (_amplitude(d, degree, r) ** exponent for degree, exponent in factors)
+        return functools.reduce(np.multiply, amplitudes) * r ** (d - 1.0)
 
     return f
 
@@ -326,104 +329,42 @@ def panel_integrate(
     return value, total_err
 
 
-def _kinks(order: int, exponent: float, R: float) -> tuple[np.ndarray, float]:
-    """Zeros of J_nu, 2 nu = order, in (0, R) and the exponent of
-    |J_nu|^exponent there.
-
-    An even exponent gives a smooth power: no zeros, and exponent 0.
-    """
-    if exponent % 2.0 == 0.0:
-        return np.empty(0), 0.0
-    return bessel_zeros(order, R), exponent
-
-
 def integrate_weighted_power(
-    d: int, p: float, k: int, R: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
+    d: int, p: float, k: int, R: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG, kind: str = "power"
 ) -> Enclosure:
-    """Enclosure of the truncated weighted power integral on [0, R].
+    """Enclosure of the truncated integral of the given kind on [0, R].
 
-    Unless p is even, the panels run between the zeros of J_{d/2-1+k}, with
-    end exponent p there.
+    Unless every exponent is even, the panels run between the zeros of the
+    one factor whose exponent is not, with that end exponent there.
     """
     _check_weighted_preconditions(d, p, k, R)
-    zeros, alpha = _kinks(twice_nu(d, k), p, R)
-    value, err = panel_integrate(weighted_power_integrand(d, p, k), 0.0, R, cfg, zeros, alpha)
+    factors = _factors(d, p, k, kind)
+    zeros, alpha = (), 0.0
+    for degree, exponent in factors:
+        if exponent % 2.0 != 0.0:
+            zeros, alpha = bessel_zeros(twice_nu(d, degree), R), exponent
+    value, err = panel_integrate(_integrand(d, factors), 0.0, R, cfg, zeros, alpha)
     return Enclosure(max(value - err, 0.0), value + err, quad_error_bound=err)
 
 
-def integrate_cross_term(
-    d: int, p: float, k: int, R: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG
-) -> Enclosure:
-    """Enclosure of the truncated cross integral on [0, R].
+def tail_bound(d: int, p: float, k: int, R: float, kind: str = "power") -> float:
+    """Upper bound on the integral of the given kind over [R, infinity).
 
-    Unless p - 2 is even, the panels run between the zeros of J_{d/2-1}, with
-    end exponent p - 2 there; the factor |J_{d/2-1+k}|^2 is smooth and adds
-    none.
-    """
-    _check_weighted_preconditions(d, p, k, R)
-    zeros, alpha = _kinks(twice_nu(d, 0), p - 2.0, R)
-    value, err = panel_integrate(cross_term_integrand(d, p, k), 0.0, R, cfg, zeros, alpha)
-    return Enclosure(max(value - err, 0.0), value + err, quad_error_bound=err)
-
-
-def _tail_exponent(d: int, p: float) -> float:
-    """Decay exponent p(d-1)/2 - d of the tail bound; must be positive."""
-    return p * (d - 1) / 2.0 - d
-
-
-def tail_bound(d: int, p: float, k: int, R: float) -> float:
-    """Upper bound on the weighted power integral over [R, infinity).
-
-    Uses |J_nu(r)| <= r^(-1/2), valid for nu >= 1/2 and r >= 1.5*nu; hence
-    requires the order d/2 - 1 + k to be at least 1/2 and R >= 1.5*nu.  The
-    premise is checked, for every admitted order, by
+    Each factor takes |J_nu(r)| <= r^(-1/2), valid for nu >= 1/2 and
+    r >= 1.5*nu, or, at nu = 0, |J_0(r)| <= sqrt(2/(pi r)) times
+    _J0_ENVELOPE_SAFETY; as the exponents sum to p, the integrand is at most
+    a constant times r^(-1-expo), expo = p(d-1)/2 - d, which must be
+    positive.  R must reach 1.5*nu of the largest order, or 1 when that is
+    0.  The premise is checked, for every admitted order, by
     tests/test_quadrature.py::TestTailBounds::test_premise_sqrt_r_j_at_most_one.
     """
-    order = twice_nu(d, k)
-    nu = order / 2.0
-    if order < 1:
-        raise SpecfunDomainError(
-            f"tail bound needs order >= 1/2 (d={d}, k={k} gives nu={nu}); "
-            "use zero_order_tail_bound for d=2, k=0"
-        )
-    if R < 1.5 * nu:
-        raise SpecfunDomainError(f"tail bound needs R >= 1.5*nu = {1.5*nu}, got R={R}")
-    expo = _tail_exponent(d, p)
+    factors = _factors(d, p, k, kind)
+    nu = max(twice_nu(d, degree) for degree, _ in factors) / 2.0
+    if R < (least := 1.5 * nu if nu else 1.0):
+        raise SpecfunDomainError(f"tail bound needs R >= {least} (1.5*nu, or 1 at nu = 0), got R={R}")
+    expo = p * (d - 1) / 2.0 - d
     if expo <= 0:
         raise SpecfunDomainError(f"tail not integrable by this bound (p(d-1)/2 - d = {expo})")
-    return R**-expo / expo
-
-
-def zero_order_tail_bound(p: float, R: float) -> float:
-    """Tail bound for the d=2, k=0 integrand via |J_0(r)| <= sqrt(2/(pi r)).
-
-    Valid for p > 4 (d=2 admissibility) and R >= 1.
-    """
-    if p <= 4:
-        raise SpecfunDomainError(f"need p > 4 for the d=2 tail, got {p}")
-    if R < 1:
-        raise SpecfunDomainError(f"need R >= 1, got {R}")
-    expo = _tail_exponent(2, p)
-    return _J0_ENVELOPE_SAFETY ** p * (2.0 / math.pi) ** (p / 2.0) * R**-expo / expo
-
-
-def cross_tail_bound(d: int, p: float, k: int, R: float) -> float:
-    """Tail bound for the cross integrand over [R, infinity).
-
-    Applies |J| <= r^(-1/2) to both factors; same decay as tail_bound.  For
-    d = 2 the degree-zero factor uses the sqrt(2/(pi r)) envelope instead.
-    The premise is that of tail_bound, checked by
-    tests/test_quadrature.py::TestTailBounds::test_premise_sqrt_r_j_at_most_one.
-    """
-    nu_high = twice_nu(d, k) / 2.0
-    if R < 1.5 * max(nu_high, 1.0):
-        raise SpecfunDomainError(f"cross tail needs R >= {1.5*max(nu_high,1.0)}, got R={R}")
-    expo = _tail_exponent(d, p)
-    if expo <= 0:
-        raise SpecfunDomainError(f"tail not integrable by this bound (p(d-1)/2 - d = {expo})")
-    coeff = 1.0
-    if d == 2:
-        if k == 0:
-            return zero_order_tail_bound(p, R)
-        coeff = (_J0_ENVELOPE_SAFETY * math.sqrt(2.0 / math.pi)) ** (p - 2.0)
-    return coeff * R**-expo / expo
+    # the total exponent on J_0 factors, which take the sqrt(2/(pi r)) envelope
+    a = sum(exponent for degree, exponent in factors if twice_nu(d, degree) == 0)
+    return _J0_ENVELOPE_SAFETY**a * (2.0 / math.pi) ** (a / 2.0) * R**-expo / expo

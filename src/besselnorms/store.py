@@ -89,11 +89,11 @@ class ResultCache:
         R: float,
         cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
     ) -> Enclosure:
-        """The stored truncated integral; compute(d, p, k, R, cfg) on a miss."""
+        """The stored truncated integral; compute(d, p, k, R, cfg, kind) on a miss."""
         key = _entry_key(kind, d, p, k, R, cfg)
         enc = self.get_enclosure(key)
         if enc is None:
-            enc = compute(d, p, k, R, cfg)
+            enc = compute(d, p, k, R, cfg, kind)
             self.data[key] = [enc.lower, enc.upper, enc.truncation_bound, enc.quad_error_bound]
             self.dirty = True
         return enc

@@ -436,13 +436,17 @@ class TestCache:
         assert all(enc is not None for enc in looked_up)
 
     def test_local_coefficients_reuse_holder_chain_cross_norms(self, capsys, cache_file, monkeypatch):
+        # the store passes the kind last: (d, p, k, R, cfg, kind)
+        integrals = count_calls(monkeypatch, norms, "integrate_weighted_power")
+        cross_degrees = lambda: [args[2] for args in integrals if args[-1] == "cross"]
         for k in ("1", "2"):
             code, _ = run_json(capsys, "verify", "holder-chain", "--d", "3", "--p", "4", "--k", k, "--cache", cache_file)
             assert code == 0
-        cross_integrals = count_calls(monkeypatch, local, "integrate_cross_term")
+        assert cross_degrees() == [1, 2]
+        integrals.clear()
         code, _ = run_json(capsys, "verify", "local-coefficients", "--d", "3", "--K", "2", "--cache", cache_file)
         assert code == 0
-        assert cross_integrals == []
+        assert cross_degrees() == []
 
     def test_no_file_without_cache_flag(self, capsys, tmp_path, monkeypatch):
         # neither the home directory nor the former environment variable names a default file
@@ -490,6 +494,20 @@ class TestVerifyFlags:
             main(["verify", *argv])
         assert exc.value.code == 2
         assert capsys.readouterr().out == "" and searches == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "p4", "--d", "3", "--p", "5"), ("verify", "holder-chain", "--d", "3", "--K", "9")],
+        ids=["p4-p", "holder-chain-K"],
+    )
+    def test_unread_flag_is_reported_under_the_claims_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        prog = " ".join(["besselnorms", *argv[:2]])
+        assert exc.value.code == 2
+        assert err.startswith(f"usage: {prog} [-h]") and "--d D" in err
+        assert err.endswith(f"{prog}: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
     def test_shared_flags_follow_the_claim(self, capsys):
         code, report = run_json(capsys, "verify", "sup-monotone", "--d", "3", "--K", "4")

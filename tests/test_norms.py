@@ -135,8 +135,8 @@ class TestLambdaPower:
     def test_d2_degree_zero_uses_special_tail(self):
         enc = lambda_power(NormKey(2, 6.0, 0), R=400.0)
         assert enc.lower <= LAM6_D2_K0_R400 <= enc.upper
-        # the generic bound would be invalid (order 0 < 1/2); the special one
-        # is finite and below the crude 1/R value
+        # r^(-1/2) bounds |J_nu| only for nu >= 1/2; order 0 takes the
+        # sqrt(2/(pi r)) envelope of J_0, finite and below the crude 1/R value
         assert enc.truncation_bound < 1.0 / 400.0 + 1e-11
 
     def test_memoized(self, monkeypatch):
@@ -151,6 +151,8 @@ class TestLambdaPower:
     def test_rejects_sup(self):
         with pytest.raises(SpecfunDomainError):
             lambda_power(NormKey(3, INFINITY, 0))
+        with pytest.raises(SpecfunDomainError, match="finite exponent"):
+            norms.radial_integral("cross", 3, INFINITY, 1)
 
     def test_truncated_power_is_the_stored_entry_without_tail(self, monkeypatch):
         clear_memo_cache()

@@ -13,7 +13,7 @@ from scipy.special import jv
 
 from besselnorms.golden import matches_6sf, round_sig
 from besselnorms.norms import NormKey, lambda_power, validity_strip, upper_bound_U
-from besselnorms.quadrature import Enclosure, tail_bound, zero_order_tail_bound
+from besselnorms.quadrature import Enclosure, tail_bound
 from besselnorms.specfun import SpecfunDomainError
 
 from oracles import simpson_weighted_power
@@ -70,17 +70,23 @@ def test_upper_bound_u_rejects_strip_ends(d):
     p_off=st.floats(min_value=0.1, max_value=8.0),
     R=st.floats(min_value=40.0, max_value=500.0),
     bump=st.floats(min_value=1.01, max_value=10.0),
+    kind=st.sampled_from(["power", "cross"]),
 )
 @settings(max_examples=100, deadline=None)
-def test_tail_bound_decreasing_in_radius(d, k, p_off, R, bump):
+def test_tail_bound_decreasing_in_radius(d, k, p_off, R, bump, kind):
     p = 2.0 * d / (d - 1) + p_off
-    assert tail_bound(d, p, k, R * bump) < tail_bound(d, p, k, R)
+    assert tail_bound(d, p, k, R * bump, kind) < tail_bound(d, p, k, R, kind)
 
 
-@given(p=st.floats(min_value=4.01, max_value=20.0), R=st.floats(min_value=1.0, max_value=400.0))
+@given(
+    p=st.floats(min_value=4.01, max_value=20.0),
+    R=st.floats(min_value=1.0, max_value=400.0),
+    kind=st.sampled_from(["power", "cross"]),
+)
 @settings(max_examples=100, deadline=None)
-def test_zero_order_tail_decreasing(p, R):
-    assert zero_order_tail_bound(p, 2.0 * R) < zero_order_tail_bound(p, R)
+def test_zero_order_tail_decreasing(p, R, kind):
+    # d = 2, k = 0: every factor is |A_0|, under the J_0 envelope from R = 1
+    assert tail_bound(2, p, 0, 2.0 * R, kind) < tail_bound(2, p, 0, R, kind)
 
 
 @given(

@@ -16,14 +16,9 @@ from besselnorms.quadrature import (
     Enclosure,
     QuadConfig,
     QuadratureError,
-    cross_tail_bound,
-    cross_term_integrand,
-    integrate_cross_term,
     integrate_weighted_power,
     panel_integrate,
     tail_bound,
-    weighted_power_integrand,
-    zero_order_tail_bound,
 )
 from besselnorms.specfun import (
     MAX_ARGUMENT,
@@ -113,6 +108,25 @@ EVEN_P_ENCLOSURES = {
 }
 
 LOCAL_MAXIMIZER_PAIRS = [(2, 6.0), (3, 4.0), (4, 10.0 / 3.0), (5, 3.0)]
+
+# The d = 2 tails the local-maximizer checks read at the default radius 200:
+# the power tail of degree 0 and the cross tails of M(1)..M(8), as computed
+# before power and cross integrals shared one tail bound.
+D2_TAILS_R200 = {
+    ("power", 0): "0.001290069117715594",
+    **{("cross", k): "0.0020264317785536052" for k in range(1, 9)},
+}
+
+
+def integrand(d, p, k, kind="power"):
+    """The integrand integrate_weighted_power hands to panel_integrate."""
+    return quadrature._integrand(d, quadrature._factors(d, p, k, kind))
+
+
+def tail_slice(d, p, k, R, kind="power"):
+    """The integral of the given kind over [R, 2R], from two truncated ones."""
+    outer = integrate_weighted_power(d, p, k, 2 * R, kind=kind)
+    return outer.midpoint - integrate_weighted_power(d, p, k, R, kind=kind).midpoint
 
 
 def _counting(f, calls):
@@ -225,13 +239,13 @@ class TestPanelIntegrate:
             panel_integrate(f, 0.0, 10.0, cfg)
 
     def test_deterministic(self):
-        f = weighted_power_integrand(3, 4.0, 1)
+        f = integrand(3, 4.0, 1)
         first = panel_integrate(f, 0.0, 40.0)
         second = panel_integrate(f, 0.0, 40.0)
         assert first == second
 
     def test_breakpoints_outside_the_interval_are_ignored(self):
-        f = weighted_power_integrand(3, 4.0, 1)
+        f = integrand(3, 4.0, 1)
         plain = panel_integrate(f, 0.0, 40.0)
         assert panel_integrate(f, 0.0, 40.0, DEFAULT_QUAD_CONFIG, [-1.0, 0.0, 40.0, 41.0]) == plain
 
@@ -369,15 +383,15 @@ class TestGaussJacobiRule:
 class TestIntegrands:
     def test_weighted_power_finite_near_origin(self):
         for d, k in [(2, 0), (3, 0), (4, 0), (2, 1), (5, 2)]:
-            f = weighted_power_integrand(d, 4.5 if d == 2 else 4.0, k)
+            f = integrand(d, 4.5 if d == 2 else 4.0, k)
             vals = f(np.array([1e-9, 1e-6, 1e-4, 0.5]))
             assert np.all(np.isfinite(vals)) and np.all(vals >= 0)
 
     def test_cross_reduces_to_power_at_degree_zero(self):
         r = np.linspace(1e-5, 30.0, 500)
         for d, p in [(2, 6.0), (3, 4.0), (5, 3.0)]:
-            f_cross = cross_term_integrand(d, p, 0)
-            f_power = weighted_power_integrand(d, p, 0)
+            f_cross = integrand(d, p, 0, "cross")
+            f_power = integrand(d, p, 0)
             np.testing.assert_allclose(f_cross(r), f_power(r), rtol=1e-12)
 
     def test_small_argument_series_matches_direct(self):
@@ -387,7 +401,7 @@ class TestIntegrands:
         r = np.array([5e-4])
         for d in (2, 3, 4, 7):
             p = 6.0 if d == 2 else 4.0
-            f = weighted_power_integrand(d, p, 0)
+            f = integrand(d, p, 0)
             nu = d / 2.0 - 1.0
             direct = np.abs(jv(nu, r) * r ** (1.0 - d / 2.0)) ** p * r ** (d - 1.0)
             assert f(r)[0] == pytest.approx(direct[0], rel=1e-12)
@@ -414,9 +428,9 @@ class TestIntegrateWeightedPower:
         with pytest.raises(SpecfunDomainError):
             integrate_weighted_power(3, 4.0, 1, 1500.0)  # beyond MAX_ARGUMENT
 
-    @pytest.mark.parametrize("integrate", [integrate_weighted_power, integrate_cross_term])
+    @pytest.mark.parametrize("kind", ["power", "cross"], ids=lambda kind: f"integrate_weighted_power-{kind}")
     @pytest.mark.parametrize("R", [math.inf, math.nan, 1e300, MAX_ARGUMENT + 1.0])
-    def test_radius_checked_before_zeros_or_panels(self, monkeypatch, integrate, R):
+    def test_radius_checked_before_zeros_or_panels(self, monkeypatch, kind, R):
         # p = 3 at d = 5 is not even, so a valid radius would start a zero search
         def unreachable(*args, **kwargs):
             raise AssertionError("reached past the radius check")
@@ -424,7 +438,7 @@ class TestIntegrateWeightedPower:
         monkeypatch.setattr(quadrature, "bessel_zeros", unreachable)
         monkeypatch.setattr(quadrature, "panel_integrate", unreachable)
         with pytest.raises(SpecfunDomainError, match=r"truncation radius must lie in \(0, MAX_ARGUMENT"):
-            integrate(5, 3.0, 1, R)
+            integrate_weighted_power(5, 3.0, 1, R, kind=kind)
 
     def test_every_p4_golden_entry_is_frozen(self):
         keys = {(d, 1, 40.0) for d in golden.P4_TRUNCATED_40_K1}
@@ -439,15 +453,16 @@ class TestIntegrateWeightedPower:
 
     def test_cross_term_degree_zero_equals_power(self):
         a = integrate_weighted_power(3, 4.0, 0, 60.0)
-        b = integrate_cross_term(3, 4.0, 0, 60.0)
+        b = integrate_weighted_power(3, 4.0, 0, 60.0, kind="cross")
         assert a.midpoint == pytest.approx(b.midpoint, rel=1e-12)
 
 
 class TestTailBounds:
     def test_decreasing_in_radius(self):
-        bounds = [tail_bound(3, 4.0, 1, R) for R in (40.0, 80.0, 200.0, 400.0)]
-        assert bounds == sorted(bounds, reverse=True)
-        assert bounds[-1] > 0
+        for kind in ("power", "cross"):
+            bounds = [tail_bound(3, 4.0, 1, R, kind) for R in (40.0, 80.0, 200.0, 400.0)]
+            assert bounds == sorted(bounds, reverse=True)
+            assert bounds[-1] > 0
 
     def test_closed_form(self):
         # exponent p(d-1)/2 - d = 1 at d=3, p=4 gives exactly 1/R
@@ -456,39 +471,46 @@ class TestTailBounds:
     def test_actually_bounds_the_tail(self):
         # tail over [R, 2R] computed explicitly must sit below the bound
         R = 40.0
-        inner = integrate_weighted_power(3, 4.0, 1, 2 * R).midpoint - integrate_weighted_power(
-            3, 4.0, 1, R
-        ).midpoint
-        assert 0 < inner < tail_bound(3, 4.0, 1, R)
+        assert 0 < tail_slice(3, 4.0, 1, R) < tail_bound(3, 4.0, 1, R)
 
     def test_domain_errors(self):
-        with pytest.raises(SpecfunDomainError):
-            tail_bound(2, 6.0, 0, 40.0)  # order below 1/2
-        with pytest.raises(SpecfunDomainError):
-            tail_bound(3, 4.0, 10, 10.0)  # R below 1.5 nu
+        for kind in ("power", "cross"):
+            with pytest.raises(SpecfunDomainError, match="tail bound needs R >= 15.75"):
+                tail_bound(3, 4.0, 10, 10.0, kind)  # R below 1.5 nu
+            with pytest.raises(SpecfunDomainError, match="tail bound needs R >= 1.0"):
+                tail_bound(2, 6.0, 0, 0.5, kind)  # nu = 0 and R below 1
+            with pytest.raises(SpecfunDomainError, match="not integrable"):
+                tail_bound(3, 3.0, 1, 200.0, kind)  # p(d-1)/2 - d = 0
+        with pytest.raises(ValueError, match="unknown integral kind"):
+            tail_bound(3, 4.0, 1, 200.0, "square")
 
     def test_zero_order_variant(self):
-        assert zero_order_tail_bound(6.0, 200.0) < zero_order_tail_bound(6.0, 100.0)
+        # d = 2, k = 0: order 0 takes the sqrt(2/(pi r)) envelope of J_0
+        assert tail_bound(2, 6.0, 0, 200.0) < tail_bound(2, 6.0, 0, 100.0)
         with pytest.raises(SpecfunDomainError):
-            zero_order_tail_bound(4.0, 200.0)
+            tail_bound(2, 4.0, 0, 200.0)  # p(d-1)/2 - d = 0
         with pytest.raises(SpecfunDomainError):
-            zero_order_tail_bound(6.0, 0.5)
+            tail_bound(2, 6.0, 0, 0.5)
 
     def test_zero_order_actually_bounds(self):
         R = 50.0
-        inner = (
-            integrate_weighted_power(2, 6.0, 0, 2 * R).midpoint
-            - integrate_weighted_power(2, 6.0, 0, R).midpoint
-        )
-        assert 0 < inner < zero_order_tail_bound(6.0, R)
+        assert 0 < tail_slice(2, 6.0, 0, R) < tail_bound(2, 6.0, 0, R)
 
     def test_cross_tail(self):
-        assert cross_tail_bound(3, 4.0, 1, 200.0) == pytest.approx(1.0 / 200.0, rel=1e-14)
+        assert tail_bound(3, 4.0, 1, 200.0, "cross") == pytest.approx(1.0 / 200.0, rel=1e-14)
         # d=2 uses the sharper degree-zero envelope on the base factor
-        assert cross_tail_bound(2, 6.0, 1, 200.0) < tail_bound(2, 6.0, 1, 200.0)
-        assert cross_tail_bound(2, 6.0, 0, 200.0) == zero_order_tail_bound(6.0, 200.0)
-        with pytest.raises(SpecfunDomainError):
-            cross_tail_bound(3, 4.0, 10, 10.0)
+        assert tail_bound(2, 6.0, 1, 200.0, "cross") < tail_bound(2, 6.0, 1, 200.0)
+        # at degree zero both factors are |A_0|: the cross tail is the power tail
+        assert tail_bound(2, 6.0, 0, 200.0, "cross") == tail_bound(2, 6.0, 0, 200.0)
+
+    @pytest.mark.parametrize("d, p, k", [(2, 6.0, 1), (2, 6.0, 4), (3, 4.0, 1), (3, 4.0, 3)])
+    def test_cross_tail_actually_bounds(self, d, p, k):
+        R = 40.0
+        assert 0 < tail_slice(d, p, k, R, "cross") < tail_bound(d, p, k, R, "cross")
+
+    @pytest.mark.parametrize("kind, k", sorted(D2_TAILS_R200))
+    def test_d2_tails_read_by_the_local_checks_are_pinned(self, kind, k):
+        assert repr(tail_bound(2, 6.0, k, 200.0, kind)) == D2_TAILS_R200[kind, k]
 
     def test_premise_sqrt_r_j_at_most_one(self):
         """sqrt(r) |J_nu(r)| <= 1 on r >= 1.5 nu for every admitted 1 <= 2 nu <= 120.
@@ -515,7 +537,7 @@ class TestKinkedExponents:
 
     @pytest.mark.parametrize("k", sorted(CROSS_5_3_R200))
     def test_cross_term_encloses_mpmath_value(self, k):
-        enc = integrate_cross_term(5, 3.0, k, 200.0)
+        enc = integrate_weighted_power(5, 3.0, k, 200.0, kind="cross")
         assert enc.lower <= CROSS_5_3_R200[k] <= enc.upper
 
     def test_stein_tomas_power_encloses_mpmath_value(self):
@@ -524,7 +546,7 @@ class TestKinkedExponents:
 
     @pytest.mark.parametrize("k", sorted(CROSS_4_10_3_R200))
     def test_cross_term_at_p_10_3_encloses_mpmath_value(self, k):
-        enc = integrate_cross_term(4, 10.0 / 3.0, k, 200.0)
+        enc = integrate_weighted_power(4, 10.0 / 3.0, k, 200.0, kind="cross")
         assert enc.lower <= CROSS_4_10_3_R200[k] <= enc.upper
 
     def test_every_pst_golden_entry_is_frozen(self):
@@ -551,15 +573,15 @@ class TestKinkedExponents:
         assert mpmath.besseljzero(nu, len(edges) + 1) > R
 
     def test_cross_term_edges_come_from_degree_zero(self, breakpoints_passed):
-        integrate_cross_term(5, 3.0, 4, 200.0)
+        integrate_weighted_power(5, 3.0, 4, 200.0, kind="cross")
         (edges,) = breakpoints_passed
         np.testing.assert_array_equal(edges, bessel_zeros(3, 200.0))
 
     def test_even_exponents_add_no_edges(self, breakpoints_passed):
         integrate_weighted_power(3, 4.0, 1, 200.0)
         integrate_weighted_power(2, 6.0, 0, 200.0)
-        integrate_cross_term(3, 4.0, 2, 200.0)  # p - 2 = 2
-        integrate_cross_term(2, 6.0, 1, 200.0)  # p - 2 = 4
+        integrate_weighted_power(3, 4.0, 2, 200.0, kind="cross")  # p - 2 = 2
+        integrate_weighted_power(2, 6.0, 1, 200.0, kind="cross")  # p - 2 = 4
         assert [edges.size for edges in breakpoints_passed] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("key", sorted(EVEN_P_ENCLOSURES))
@@ -578,7 +600,7 @@ class TestNodeCounts:
     """Each panel is evaluated once, and no production integral nears the cap."""
 
     def test_each_panel_evaluated_once(self, integrand_calls):
-        integrate_cross_term(5, 3.0, 1, 200.0)
+        integrate_weighted_power(5, 3.0, 1, 200.0, kind="cross")
         (calls,) = integrand_calls
         high, low = calls[0::2], calls[1::2]
         assert [c.shape[1] for c in high] == [16] * len(high)
@@ -618,8 +640,8 @@ class TestNodeCounts:
     def test_cross_terms_at_p3_are_cheap(self, integrand_calls, k):
         # (5, 3) and (4, 10/3): |J|^(p-2) is |r - z| and |r - z|^(4/3) at each
         # zero, taken by the Jacobi weight at the panel ends
-        integrate_cross_term(5, 3.0, k, 200.0)
-        integrate_cross_term(4, 10.0 / 3.0, k, 200.0)
+        integrate_weighted_power(5, 3.0, k, 200.0, kind="cross")
+        integrate_weighted_power(4, 10.0 / 3.0, k, 200.0, kind="cross")
         at_3, at_10_3 = [sum(c.size for c in calls) for calls in integrand_calls]
         assert at_3 <= 5000
         assert at_10_3 <= 3000
