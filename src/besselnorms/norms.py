@@ -143,8 +143,9 @@ def default_radius(d: int, k: int) -> float:
 
 
 def clear_memo_cache() -> None:
-    """Drop the in-memory entries of the current result store; files are untouched."""
-    store.current().data.clear()
+    """Drop the in-memory entries and J values of the current result store;
+    files are untouched."""
+    store.current().clear()
 
 
 def truncated_power(key: NormKey, R: float) -> Enclosure:

@@ -8,30 +8,36 @@ kind "power" is |A_k|^p, the p-th power of the degree-k norm, and kind
 The integrand, the kink rule and the tail bound all read that table.
 
 Each integral is reported as an Enclosure: a truncated value bracketed by a
-summed per-panel error estimate (difference of two Gauss orders), plus a
-separately tracked tail contribution.  Where every exponent is even, the
-integrand is smooth and the starting panels are equal steps no wider than
-a fraction of the Bessel oscillation period, integrated by Gauss-Legendre.
-Where one is not, the integrand behaves like |r - z|^e at each zero z of
-that factor's J_nu (exponent 2 is smooth, so at most one factor kinks), so
-the starting panels run from zero to zero and a panel end at a zero
-carries the Gauss-Jacobi weight (1 -+ x)^e: the rule then takes that
-endpoint behaviour exactly and integrates an analytic factor.  Panels are
-halved where the estimate is large, and each panel is evaluated once.  The
-error stays an estimate, |high-order - low-order|, not a proven bound.
+summed per-panel error, plus a separately tracked tail contribution.  Where
+every exponent is even, the integrand is entire: the starting panels are
+equal steps no wider than a fraction of the Bessel oscillation period, each
+integrated once by Gauss-Legendre, and the error is a proven Bernstein-
+ellipse remainder (_gauss_remainder) plus a bound on the evaluation error
+(_even_integrand), which rests on the measured jv error JV_ABS_ERROR.
+Where one exponent is not even, the integrand behaves like |r - z|^e at each
+zero z of that factor's J_nu (exponent 2 is smooth, so at most one factor
+kinks), so the starting panels run from zero to zero and a panel end at a
+zero carries the Gauss-Jacobi weight (1 -+ x)^e: the rule then takes that
+endpoint behaviour exactly and integrates an analytic factor.  There the
+error stays an estimate, |high-order - low-order|, not a proven bound.  On
+either path panels are halved where the error is large, and each panel is
+evaluated once.  Inside a sharing() block, even-exponent integrals share
+their J values at a common node array, so those of one command at one
+radius evaluate each order there once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .specfun import MAX_ARGUMENT, SpecfunDomainError, bessel_j, bessel_zeros, check_admissible, lambda_sup_zero_closed, twice_nu
+from .specfun import JV_ABS_ERROR, MAX_ARGUMENT, SpecfunDomainError, bessel_j, bessel_zeros, check_admissible, lambda_sup_zero_closed, twice_nu
 
 __all__ = [
     "Enclosure",
@@ -39,6 +45,7 @@ __all__ = [
     "DEFAULT_QUAD_CONFIG",
     "QuadratureError",
     "integrate_weighted_power",
+    "sharing",
     "tail_bound",
 ]
 
@@ -46,9 +53,20 @@ __all__ = [
 # tightness of that envelope (it is approached to within O(1/r)).
 _J0_ENVELOPE_SAFETY = 1.0 + 1e-6
 
+# unit roundoff of a float
+_U = 2.0**-53
+# the Bernstein-ellipse parameters rho each panel's remainder tries, sqrt(2)
+# to 64, and the semi-axes (rho +- 1/rho)/2 of their ellipses
+_RHOS = 2.0 ** (np.arange(1, 13) / 2.0)
+_SEMI_MAJOR = 0.5 * (_RHOS + 1.0 / _RHOS)
+_SEMI_MINOR = 0.5 * (_RHOS - 1.0 / _RHOS)
+# the J-value memo of the enclosing sharing() block
+_shared: dict | None = None
+
 
 class QuadratureError(RuntimeError):
-    """Error estimate still above tolerance after the refinement cap."""
+    """Error estimate, or proven remainder, still above its target after the
+    refinement cap."""
 
 
 @dataclass(frozen=True)
@@ -145,9 +163,23 @@ def _zero_degree_amplitude(d: int, r: np.ndarray) -> np.ndarray:
     return lambda_sup_zero_closed(d) * (1.0 - q / (nu + 1.0) + 0.5 * q * q / ((nu + 1.0) * (nu + 2.0)))
 
 
-def _amplitude(d: int, k: int, r: np.ndarray) -> np.ndarray:
-    """|J_{d/2-1+k}(r) r^(1-d/2)| evaluated stably down to r = 0+."""
-    out = np.abs(bessel_j(twice_nu(d, k), r) * r ** (1.0 - d / 2.0))
+def _amplitude(d: int, k: int, r: np.ndarray, memo: dict | None = None) -> np.ndarray:
+    """|J_{d/2-1+k}(r) r^(1-d/2)| evaluated stably down to r = 0+.
+
+    memo maps (2 nu, shape, node bytes) to read-only J values: the integrals
+    of one command at one radius share their starting nodes, so each order
+    is evaluated there once.
+    """
+    order = twice_nu(d, k)
+    if memo is None:
+        j = bessel_j(order, r)
+    else:
+        key = (order, r.shape, r.tobytes())
+        j = memo.get(key)
+        if j is None:
+            j = memo[key] = bessel_j(order, r)
+            j.flags.writeable = False
+    out = np.abs(j * r ** (1.0 - d / 2.0))
     if k == 0:
         small = r < 1e-3
         if np.any(small):
@@ -173,6 +205,112 @@ def _integrand(d: int, factors: tuple[tuple[int, float], ...]) -> Callable[[np.n
         return functools.reduce(np.multiply, amplitudes) * r ** (d - 1.0)
 
     return f
+
+
+def _even_integrand(d: int, factors: tuple[tuple[int, float], ...], memo: dict) -> Callable:
+    """The integrand of _integrand, for even exponents, returning (values,
+    deviations): per node, a bound on |computed f - f(exact node)|.
+
+    f is a product of factors a_j^e_j, a_j being |A_j| or r (e = d - 1).  If
+    each computed a_j is within delta_j of the exact one, the mean-value
+    theorem on the segment between the two, where |a_j| <= a_j + delta_j =
+    t_j, bounds the product's change by
+    prod_l t_l^e_l * sum_j e_j delta_j / t_j.  delta_j adds:
+    - the jv error, JV_ABS_ERROR min(1, r^(-1/2)) r^(1-d/2), measured not
+      proven (specfun.JV_ABS_ERROR);
+    - the node's rounding, eta = 5u times the largest node of its panel, the
+      last of its row of r (u the unit roundoff: mid + half x, with x itself
+      within 2u and half below that node), times
+      |A_j'| <= (j/r + 1) r^(1-d/2), from
+      A_j' = ((j/r) J_nu - J_{nu+1}) r^(1-d/2) and |J_mu| <= 1 (DLMF 10.14.1),
+      taken at r - eta; eta alone for the factor r;
+    - 4u |a_j| for forming r^(1-d/2) and the product with J.
+    Both r-dependent terms take (r - eta)^(1-d/2) >= r^(1-d/2).  The powers
+    and the products of the m factors and r^(d-1) add 2(m + 1) u |f|.
+    """
+
+    def f(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        amplitudes = [_amplitude(d, degree, r, memo) for degree, _ in factors]
+        values = functools.reduce(np.multiply, (a**e for a, (_, e) in zip(amplitudes, factors))) * r ** (d - 1.0)
+        eta = 5.0 * _U * r[..., -1:]
+        low = r - eta
+        scale = low ** (1.0 - d / 2.0)
+        common = (JV_ABS_ERROR / np.sqrt(np.maximum(r, 1.0)) + eta) * scale
+        per_degree = eta * scale / low
+        terms = [(r + eta, d - 1.0, eta)]
+        for amplitude, (degree, exponent) in zip(amplitudes, factors):
+            delta = common + degree * per_degree + 4.0 * _U * amplitude
+            terms.append((amplitude + delta, exponent, delta))
+        bound = functools.reduce(np.multiply, (t**e for t, e, _ in terms))
+        slope = sum(e * delta / t for t, e, delta in terms)
+        return values, bound * slope + 2.0 * (len(factors) + 1) * _U * values
+
+    return f
+
+
+def _log_integrand_bound(d: int, factors: tuple[tuple[int, float], ...], modulus, re_min, im_max):
+    """log of a bound on |f(z)| = prod_j |A_j(z)|^e_j |z|^(d-1) over a region
+    of the plane where |z| <= modulus, Re z >= re_min and |Im z| <= im_max.
+
+    A_j(z) = z^j z^(-nu) J_nu(z) is entire.  Each factor takes the smaller of
+    two bounds:
+    - |z^(-nu) J_nu(z)| <= e^|Im z| / (2^nu Gamma(nu + 1)) (DLMF 10.14.4),
+      for every z;
+    - where Re z > 0 on the whole region, Schlafli's integral (DLMF 10.9.6)
+      J_nu(z) = (1/pi) int_0^pi cos(z sin t - nu t) dt
+                - (sin(nu pi)/pi) int_0^inf e^(-z sinh t - nu t) dt,
+      with |cos w| <= cosh(Im w) and |e^(-z sinh t)| <= 1, gives
+      |J_nu(z)| <= cosh(Im z) + |sin(nu pi)| / (pi nu); the second term is 0
+      at integer nu (Bessel's integral, DLMF 10.9.2).  Then
+      |A_j(z)| <= |z|^(1-d/2) (cosh(Im z) + |sin(nu pi)| / (pi nu)), and
+      |z|^(1-d/2) <= re_min^(1-d/2) for d >= 2.
+    log cosh x is x + log1p(e^(-2x)) - log 2, which does not overflow.
+    """
+    log_modulus = np.log(modulus)
+    log_cosh = im_max + (np.log1p(np.exp(-2.0 * im_max)) - math.log(2.0))
+    inside = re_min > 0.0
+    schlafli = np.where(inside, (1.0 - d / 2.0) * np.log(np.where(inside, re_min, 1.0)) + log_cosh, np.inf)
+    total = (d - 1.0) * log_modulus
+    for degree, exponent in factors:
+        order = twice_nu(d, degree)
+        nu = order / 2.0
+        series = degree * log_modulus + (im_max - (nu * math.log(2.0) + math.lgamma(nu + 1.0)))
+        bound = schlafli + np.log1p(np.exp(-log_cosh) / (math.pi * nu)) if order % 2 else schlafli
+        total = total + exponent * np.minimum(series, bound)
+    return total
+
+
+def _gauss_remainder(d: int, factors: tuple[tuple[int, float], ...], n: int, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Proven bound on |integral - n-point Gauss-Legendre| of the even-
+    exponent integrand on each panel [mid - half, mid + half].
+
+    With every exponent even, f = prod_j A_j^e_j z^(d-1) is entire and equals
+    the integrand on r > 0.  g(x) = f(mid + half x) is then analytic in the
+    Bernstein ellipse E_rho, |x + sqrt(x^2 - 1)| < rho, whose image under
+    z = mid + half x lies in |z| <= |mid| + half a, Re z >= mid - half a and
+    |Im z| <= half b, a = (rho + 1/rho)/2, b = (rho - 1/rho)/2; there
+    |g| <= M, the bound of _log_integrand_bound.  The Chebyshev coefficients
+    of g obey |c_k| <= 2 M rho^(-k) (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 8.1).  The n-point rule is exact up to
+    degree 2n - 1, and both it and the integral vanish on odd T_k, so the
+    error is at most sum over even k >= 2n of |c_k| (2 + 2/(k^2 - 1))
+    <= (32/15) sum 2 M rho^(-k) = (64/15) M rho^(2-2n) / (rho^2 - 1) for
+    n >= 2.  This is Trefethen's bound (SIAM Rev. 50, 2008, Thm 4.5; ATAP
+    Thm 19.3), which counts n + 1 nodes and so reads rho^(-2n) there.  Times
+    half for the panel width; the best rho of _RHOS is taken, and a bound
+    past e^700 is capped there.
+    """
+    mid, half = mid[:, None], half[:, None]
+    reach = half * _SEMI_MAJOR
+    log_m = _log_integrand_bound(d, factors, np.abs(mid) + reach, mid - reach, half * _SEMI_MINOR)
+    log_bound = (log_m + _log_gauss_factor(n)).min(axis=1) + np.log(64.0 / 15.0 * half[:, 0])
+    return np.exp(np.minimum(log_bound, 700.0))
+
+
+@functools.cache
+def _log_gauss_factor(n: int) -> np.ndarray:
+    """log(rho^(2-2n) / (rho^2 - 1)) over _RHOS."""
+    return (2.0 - 2.0 * n) * np.log(_RHOS) - np.log(_RHOS**2 - 1.0)
 
 
 @functools.cache
@@ -255,8 +393,9 @@ def panel_integrate(
     cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
     zeros: Sequence[float] = (),
     alpha: float = 0.0,
+    remainder: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[float, float]:
-    """Integrate f on [a, b]; returns (value, error estimate).
+    """Integrate f on [a, b]; returns (value, error).
 
     Without zeros inside (a, b), the starting edges are equal steps no wider
     than cfg.panel_length and every panel takes Gauss-Legendre.  With them,
@@ -265,12 +404,20 @@ def panel_integrate(
     panel end at a zero takes the Gauss-Jacobi weight (1 + x)^alpha or
     (1 - x)^alpha, so the rule integrates f divided by that weight.  A halved
     panel hands each end's exponent to the child that keeps that end, with 0
-    at the new midpoint.  Per-panel error is the estimate |high-order -
-    low-order|; panels above their share of the budget are halved, up to
-    cfg.max_refinements rounds.  Each panel is evaluated once, in the round
-    that creates it: a round calls f on the new children only, at the
-    high-order nodes and then at the low-order nodes.  Panels stay sorted by
-    start, so results are run-to-run identical.
+    at the new midpoint.
+
+    Without remainder, the per-panel error is the estimate |high-order -
+    low-order|, and the target is cfg.abs_tol.  With it, f returns (values,
+    deviations), the latter bounding each node's evaluation error, and only
+    the high-order nodes are evaluated: a panel's error is the proven
+    remainder(mid, half) plus its evaluation term, the weighted deviations
+    plus (n + 4) u times its value for the weights and the sum.  The target
+    is then the summed evaluation term, and the returned error adds
+    (number of panels) u times the value for the sum over panels.  Panels
+    whose remainder or estimate exceeds their share of the target are
+    halved, up to cfg.max_refinements rounds.  Each panel is evaluated once,
+    in the round that creates it: a round calls f on the new children only.
+    Panels stay sorted by start, so results are run-to-run identical.
     """
     if b <= a:
         raise ValueError(f"empty interval [{a}, {b}]")
@@ -286,19 +433,30 @@ def panel_integrate(
     xh, wh = _panel_rules(cfg.gauss_order_high, alpha)
     xl, wl = _panel_rules(cfg.gauss_order_low, alpha)
 
-    def evaluate(panels: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(panels: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per panel: the high-order value, the error that decides halving,
+        and the evaluation term (0 without remainder)."""
         half = 0.5 * (panels[:, 1] - panels[:, 0])
         mid = 0.5 * (panels[:, 0] + panels[:, 1])
+        if remainder is not None:
+            values, deviations = f(mid[:, None] + half[:, None] * xh[codes])
+            hi = (values * wh[codes]).sum(axis=1) * half
+            rounding = (deviations * wh[codes]).sum(axis=1) * half + (cfg.gauss_order_high + 4) * _U * hi
+            return hi, remainder(mid, half), rounding
         hi = (f(mid[:, None] + half[:, None] * xh[codes]) * wh[codes]).sum(axis=1) * half
         lo = (f(mid[:, None] + half[:, None] * xl[codes]) * wl[codes]).sum(axis=1) * half
-        return hi, np.abs(hi - lo)
+        return hi, np.abs(hi - lo), np.zeros_like(hi)
+
+    def target(rounding: np.ndarray) -> float:
+        return cfg.abs_tol if remainder is None else float(rounding.sum())
 
     panels = np.column_stack([edges[:-1], edges[1:]])
-    hi, err = evaluate(panels, codes)
+    hi, err, rounding = evaluate(panels, codes)
     for _ in range(cfg.max_refinements):
-        if float(err.sum()) <= cfg.abs_tol:
+        tol = target(rounding)
+        if float(err.sum()) <= tol:
             break
-        share = cfg.abs_tol / (2.0 * len(panels))
+        share = tol / (2.0 * len(panels))
         bad = err > share
         if not np.any(bad):
             bad = err == err.max()
@@ -311,22 +469,39 @@ def panel_integrate(
             ]
         )
         child_codes = np.concatenate([codes[bad] & 2, codes[bad] & 1])
-        child_hi, child_err = evaluate(children, child_codes)
+        child_hi, child_err, child_rounding = evaluate(children, child_codes)
         panels = np.concatenate([panels[~bad], children])
         codes = np.concatenate([codes[~bad], child_codes])
         hi = np.concatenate([hi[~bad], child_hi])
         err = np.concatenate([err[~bad], child_err])
+        rounding = np.concatenate([rounding[~bad], child_rounding])
         order = np.argsort(panels[:, 0])
-        panels, codes, hi, err = panels[order], codes[order], hi[order], err[order]
+        panels, codes, hi, err, rounding = panels[order], codes[order], hi[order], err[order], rounding[order]
 
     value = float(hi.sum())
     total_err = float(err.sum())
-    if total_err > cfg.abs_tol:
+    tol = target(rounding)
+    if total_err > tol:
+        kind = "error estimate" if remainder is None else "remainder"
         raise QuadratureError(
-            f"error estimate {total_err:.3e} above tolerance {cfg.abs_tol:.3e} "
+            f"{kind} {total_err:.3e} above tolerance {tol:.3e} "
             f"after {cfg.max_refinements} refinements ({len(panels)} panels)"
         )
-    return value, total_err
+    if remainder is None:
+        return value, total_err
+    return value, total_err + tol + len(panels) * _U * value
+
+
+@contextmanager
+def sharing(memo: dict):
+    """Let the even-exponent integrals computed in the block share J values
+    through memo (see _amplitude); outside such a block each has its own."""
+    global _shared
+    previous, _shared = _shared, memo
+    try:
+        yield memo
+    finally:
+        _shared = previous
 
 
 def integrate_weighted_power(
@@ -335,7 +510,12 @@ def integrate_weighted_power(
     """Enclosure of the truncated integral of the given kind on [0, R].
 
     Unless every exponent is even, the panels run between the zeros of the
-    one factor whose exponent is not, with that end exponent there.
+    one factor whose exponent is not, with that end exponent there, and the
+    error is the |G_high - G_low| estimate.  With every exponent even, the
+    error is _gauss_remainder plus the evaluation term of _even_integrand,
+    and J values come from the memo of the enclosing sharing() block, if
+    any.  Kinked integrals do not share: their nodes follow the zeros and
+    the halving of each integral, so a memo would only hold arrays.
     """
     _check_weighted_preconditions(d, p, k, R)
     factors = _factors(d, p, k, kind)
@@ -343,7 +523,12 @@ def integrate_weighted_power(
     for degree, exponent in factors:
         if exponent % 2.0 != 0.0:
             zeros, alpha = bessel_zeros(twice_nu(d, degree), R), exponent
-    value, err = panel_integrate(_integrand(d, factors), 0.0, R, cfg, zeros, alpha)
+    if alpha:
+        value, err = panel_integrate(_integrand(d, factors), 0.0, R, cfg, zeros, alpha)
+    else:
+        memo = {} if _shared is None else _shared
+        remainder = functools.partial(_gauss_remainder, d, factors, cfg.gauss_order_high)
+        value, err = panel_integrate(_even_integrand(d, factors, memo), 0.0, R, cfg, remainder=remainder)
     return Enclosure(max(value - err, 0.0), value + err, quad_error_bound=err)
 
 

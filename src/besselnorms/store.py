@@ -7,6 +7,12 @@ the resolved radius R and QuadConfig.key().  Only the truncated integral on
 verifiers, sweeps and the reproduction tables share entries.  The file
 carries only the engine version: a file from another version is discarded
 whole, and an entry that does not decode to a valid enclosure is dropped.
+
+The store also holds, in memory only, the J values its even-exponent
+integrals have evaluated, keyed by order and node array
+(quadrature._amplitude): those integrals at one radius share their starting
+nodes, so a command evaluates each order there once.  save() never writes
+them.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig
+from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig, sharing
 
 __all__ = ["ResultCache", "current", "using"]
 
@@ -45,6 +51,7 @@ class ResultCache:
         self.path = None if path is None else Path(path).expanduser()
         self.config_digest = config_digest
         self.data: dict = {}
+        self.bessel: dict = {}
         self.dirty = False
         if self.path is not None:
             self._load()
@@ -79,6 +86,11 @@ class ResultCache:
             self.dirty = True
             return None
 
+    def clear(self) -> None:
+        """Drop the in-memory entries and J values; the file is untouched."""
+        self.data.clear()
+        self.bessel.clear()
+
     def enclosure(
         self,
         kind: str,
@@ -89,11 +101,13 @@ class ResultCache:
         R: float,
         cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
     ) -> Enclosure:
-        """The stored truncated integral; compute(d, p, k, R, cfg, kind) on a miss."""
+        """The stored truncated integral; compute(d, p, k, R, cfg, kind) on a
+        miss, sharing this store's J values (quadrature.sharing)."""
         key = _entry_key(kind, d, p, k, R, cfg)
         enc = self.get_enclosure(key)
         if enc is None:
-            enc = compute(d, p, k, R, cfg, kind)
+            with sharing(self.bessel):
+                enc = compute(d, p, k, R, cfg, kind)
             self.data[key] = [enc.lower, enc.upper, enc.truncation_bound, enc.quad_error_bound]
             self.dirty = True
         return enc

@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 import os
 import subprocess
@@ -99,12 +101,18 @@ JACOBI_EXPONENTS = sorted(
     {stein_tomas_exponent(d) for d in range(4, 11)} | {stein_tomas_exponent(d) - 2.0 for d in range(4, 11)}
 )
 
-# even exponents add no panel edges; these enclosures predate the edges at zeros
+# even exponents add no panel edges; the enclosures on [0, 200] of the proven
+# remainder plus evaluation term, and the (lower, upper) of the |G16 - G8|
+# estimate they replaced, which must hold the new midpoints
 EVEN_P_ENCLOSURES = {
-    (3, 4.0, 1): "Enclosure(lower=0.1477828104211968, upper=0.14778281042249342, "
-    "truncation_bound=0.0, quad_error_bound=6.483196147749111e-13)",
-    (2, 6.0, 0): "Enclosure(lower=0.33642538345613776, upper=0.33642538345801737, "
-    "truncation_bound=0.0, quad_error_bound=9.397851201144548e-13)",
+    (3, 4.0, 1): "Enclosure(lower=0.14778281042098604, upper=0.14778281042270416, "
+    "truncation_bound=0.0, quad_error_bound=8.590750440028999e-13)",
+    (2, 6.0, 0): "Enclosure(lower=0.33642538345468787, upper=0.3364253834594675, "
+    "truncation_bound=0.0, quad_error_bound=2.3898207943773473e-12)",
+}
+EVEN_P_ESTIMATE_ENCLOSURES = {
+    (3, 4.0, 1): (0.1477828104211968, 0.14778281042249342),
+    (2, 6.0, 0): (0.33642538345613776, 0.33642538345801737),
 }
 
 LOCAL_MAXIMIZER_PAIRS = [(2, 6.0), (3, 4.0), (4, 10.0 / 3.0), (5, 3.0)]
@@ -160,7 +168,7 @@ def breakpoints_passed(monkeypatch):
     """Zeros handed to panel_integrate; the integral itself is skipped."""
     passed = []
 
-    def capture(f, a, b, cfg, zeros=(), alpha=0.0):
+    def capture(f, a, b, cfg, zeros=(), alpha=0.0, remainder=None):
         passed.append(np.asarray(zeros, dtype=float))
         return 0.0, 0.0
 
@@ -587,7 +595,10 @@ class TestKinkedExponents:
     @pytest.mark.parametrize("key", sorted(EVEN_P_ENCLOSURES))
     def test_even_exponent_enclosures_unchanged(self, key):
         d, p, k = key
-        assert repr(integrate_weighted_power(d, p, k, 200.0)) == EVEN_P_ENCLOSURES[key]
+        enc = integrate_weighted_power(d, p, k, 200.0)
+        assert repr(enc) == EVEN_P_ENCLOSURES[key]
+        lower, upper = EVEN_P_ESTIMATE_ENCLOSURES[key]
+        assert lower <= enc.midpoint <= upper
 
     def test_kinked_enclosures_contain_the_simpson_value(self):
         for d, p, k, R in [(5, 3.0, 2, 50.0), (4, 10.0 / 3.0, 1, 50.0)]:
@@ -612,7 +623,9 @@ class TestNodeCounts:
         assert sum(c.size for c in calls) == 24 * len(panels)
 
     def _refinements(self, integrand_calls):
-        return [len(calls) // 2 - 1 for calls in integrand_calls]
+        """Rounds after the first: one high-order call per round on either path."""
+        n = DEFAULT_QUAD_CONFIG.gauss_order_high
+        return [sum(c.shape[-1] == n for c in calls) - 1 for calls in integrand_calls]
 
     def test_local_maximizer_integrals_stay_clear_of_the_cap(self, integrand_calls):
         for d, p in LOCAL_MAXIMIZER_PAIRS:
@@ -645,3 +658,151 @@ class TestNodeCounts:
         at_3, at_10_3 = [sum(c.size for c in calls) for calls in integrand_calls]
         assert at_3 <= 5000
         assert at_10_3 <= 3000
+
+
+@functools.cache
+def _panel_integral_mpmath(d, p, k, kind, mid, half):
+    """30-digit mpmath integral of the even-exponent integrand on one panel."""
+    with mpmath.workdps(30):
+        scale = 1 - mpmath.mpf(d) / 2
+        amplitude = lambda j, r: mpmath.besselj(mpmath.mpf(d - 2 + 2 * j) / 2, r) * r**scale
+        factors = quadrature._factors(d, p, k, kind)
+        f = lambda r: mpmath.fprod(amplitude(j, r) ** int(e) for j, e in factors) * r ** (d - 1)
+        return float(mpmath.quad(f, mpmath.linspace(mid - half, mid + half, 5)))
+
+
+class TestGaussRemainder:
+    """The proven remainder of the even-exponent path against the actual
+    Gauss error of rules coarse enough for that error to show."""
+
+    CASES = [(2, 6.0, 0, "power"), (2, 6.0, 1, "power"), (2, 6.0, 2, "cross"), (3, 4.0, 1, "power"), (3, 4.0, 2, "cross")]
+    # (order n, half-width, panel midpoints): G4 and G6 on pi/2 panels, G16
+    # on panels about 2.5 periods wide; the panels at 20 and 24 keep the
+    # ellipse in Re z > 0, where d = 3 takes Schlafli's bound
+    RULES = [(4, math.pi / 4, (math.pi / 4, 3 * math.pi / 4, 20.0)), (6, math.pi / 4, (math.pi / 4, 3 * math.pi / 4, 20.0)),
+             (16, 8.0, (8.0, 24.0))]
+
+    def _errors(self):
+        for n, half, mids in self.RULES:
+            nodes, weights = quadrature._gauss_rule(n)
+            for d, p, k, kind in self.CASES:
+                factors = quadrature._factors(d, p, k, kind)
+                f = quadrature._integrand(d, factors)
+                for mid in mids:
+                    gauss = float(np.sum(f(mid + half * nodes) * weights) * half)
+                    actual = abs(gauss - _panel_integral_mpmath(d, p, k, kind, mid, half))
+                    bound = quadrature._gauss_remainder(d, factors, n, np.array([mid]), np.array([half]))[0]
+                    yield (n, d, p, k, kind, mid), actual, bound
+
+    def test_bounds_the_actual_error_and_is_not_vacuous(self):
+        errors = list(self._errors())
+        assert all(actual > 1e-13 for _, actual, _ in errors)
+        for case, actual, bound in errors:
+            assert actual <= bound, case
+        # scaled by 1e-3 the remainder fails somewhere: it is a bound with
+        # content, not one far above every error
+        assert any(1e-3 * bound < actual for _, actual, bound in errors)
+
+    def test_half_integer_order_takes_schlafli_away_from_the_origin(self):
+        # around 20 the Schlafli bound is below DLMF 10.14.4's; the bound
+        # carries |z|^(d-1) <= 21^2 besides the factor
+        modulus, re_min, im_max = np.array([21.0]), np.array([19.0]), np.array([1.0])
+        weight = 2.0 * math.log(21.0)
+        for k in (1, 2):
+            nu = k + 0.5
+            series = k * math.log(21.0) + 1.0 - nu * math.log(2.0) - math.lgamma(nu + 1.0)
+            bound = quadrature._log_integrand_bound(3, ((k, 1.0),), modulus, re_min, im_max)[0] - weight
+            expected = -0.5 * math.log(19.0) + math.log(math.cosh(1.0) + 1.0 / (math.pi * nu))
+            assert bound == pytest.approx(expected, rel=1e-14) and bound < series
+        # where the region reaches Re z <= 0 only the series bound holds
+        bound = quadrature._log_integrand_bound(3, ((1, 1.0),), modulus, np.array([-1.0]), im_max)[0] - weight
+        assert bound == pytest.approx(math.log(21.0) + 1.0 - 1.5 * math.log(2.0) - math.lgamma(2.5), rel=1e-14)
+
+
+# 30-digit mpmath truncated integrals on [0, 200] at d = 2, split into
+# intervals 0.05 wide and integrated by mpmath's Gauss-Legendre (0.025 wide
+# agrees to 27 digits; tanh-sinh on 0.5-wide intervals is off by 1e-6 at p = 100):
+#   mp.dps = 30; quad(lambda r: besselj(k, r)**p * r, linspace(0, 200, 4001), method="gauss-legendre")
+EXTREME_EVEN_MPMATH = {
+    (40.0, 5): 3.3533203790356487986586e-17,
+    (100.0, 3): 9.2225250162335226869984e-37,
+}
+
+
+class TestExtremeEvenExponents:
+    """The only inputs that halve panels on the even path: the remainder
+    shrinks with the panel, the evaluation term does not."""
+
+    @pytest.mark.parametrize("p, k", sorted(EXTREME_EVEN_MPMATH))
+    def test_enclosure_holds_mpmath_value(self, integrand_calls, p, k):
+        enc = integrate_weighted_power(2, p, k, 200.0)
+        assert enc.lower > 0.0
+        assert enc.lower <= EXTREME_EVEN_MPMATH[p, k] <= enc.upper
+        assert enc.width <= 1e-9 * enc.midpoint
+        (calls,) = integrand_calls
+        assert 1 < len(calls) <= DEFAULT_QUAD_CONFIG.max_refinements + 1
+        assert all(c.shape[-1] == DEFAULT_QUAD_CONFIG.gauss_order_high for c in calls)
+
+    @pytest.mark.parametrize("p, k", sorted(EXTREME_EVEN_MPMATH))
+    def test_norm_command_exits_0(self, capsys, p, k):
+        from besselnorms.cli import main
+
+        assert main(["norm", "--d", "2", "--p", repr(p), "--k", str(k)]) == 0
+        capsys.readouterr()
+
+
+class TestEvenPath:
+    def test_workload_integrals_are_not_halved_and_remainder_is_below_evaluation(self, monkeypatch):
+        # local-maximizer's even integrals: one pass of G16, and the proven
+        # part of each error below its evaluation term
+        parts = []
+        real = quadrature.panel_integrate
+
+        def recording(f, *args, remainder=None, **kwargs):
+            if remainder is None:
+                return real(f, *args, **kwargs)
+            calls, remainders = [], []
+
+            def counted(mid, half):
+                remainders.append(remainder(mid, half))
+                return remainders[-1]
+
+            value, err = real(_counting(f, calls), *args, remainder=counted, **kwargs)
+            parts.append((len(calls), float(remainders[0].sum()), err))
+            return value, err
+
+        monkeypatch.setattr(quadrature, "panel_integrate", recording)
+        clear_memo_cache()
+        for d, p in LOCAL_MAXIMIZER_PAIRS[:2]:
+            for k in range(1, 9):
+                verify_holder_chain(d, p, k)
+            verify_second_order_positivity(d, p, 8)
+        clear_memo_cache()
+        assert len(parts) == 34
+        for calls, remainder, err in parts:
+            assert calls == 1
+            assert remainder < err - remainder
+
+    def test_one_command_evaluates_each_order_once_at_shared_nodes(self, monkeypatch, tmp_path):
+        # at (2, 6) the degree-0 check, M(3) and the norms share the nodes on
+        # [0, 200]: every order is evaluated there once, degree 0 included
+        from besselnorms import store
+
+        evaluated = []
+        real = quadrature.bessel_j
+        monkeypatch.setattr(quadrature, "bessel_j", lambda order, r: evaluated.append((order, np.size(r))) or real(order, r))
+        cache = store.ResultCache(str(tmp_path / "c.json"))
+        with store.using(cache):
+            verify_holder_chain(2, 6.0, 3)
+        nodes = math.ceil(200.0 / DEFAULT_QUAD_CONFIG.panel_length) * DEFAULT_QUAD_CONFIG.gauss_order_high
+        orders = [order for order, _ in evaluated]
+        assert {0, 6} <= set(orders) and len(set(orders)) == len(orders)
+        assert all(size == nodes for _, size in evaluated)
+        assert len(cache.bessel) == len(orders)
+        assert all(not values.flags.writeable for values in cache.bessel.values())
+        # the file holds the integrals only, and clearing drops both
+        cache.save()
+        assert set(json.loads((tmp_path / "c.json").read_text())) == {"config_digest", "entries"}
+        with store.using(cache):
+            clear_memo_cache()
+        assert cache.bessel == {} and cache.data == {}

@@ -10,6 +10,7 @@ from scipy.special import jv
 import besselnorms.specfun as specfun
 from besselnorms.norms import lambda4_zero, upper_bound_U
 from besselnorms.specfun import (
+    JV_ABS_ERROR,
     LANDAU_CONSTANT,
     MAX_ARGUMENT,
     MAX_TWICE_NU,
@@ -159,6 +160,20 @@ class TestBesselJ:
         total = jv(0, r) ** 2 + 2 * sum(jv(m, r) ** 2 for m in range(1, int(2 * r) + 40))
         assert total == pytest.approx(1.0, abs=1e-10)
 
+
+    def test_absolute_error_within_jv_abs_error(self):
+        # eps_J, which the even-exponent quadrature reads, against 30-digit
+        # mpmath on a seeded sample of every admitted order and argument
+        rng = np.random.default_rng(20231)
+        orders = rng.integers(0, MAX_TWICE_NU + 1, 2000)
+        r = rng.uniform(0.0, MAX_ARGUMENT, 2000)
+        values = bessel_j(orders, r)
+        with mpmath.workdps(30):
+            errors = [
+                abs(mpmath.mpf(value) - mpmath.besselj(mpmath.mpf(order) / 2, x)) / min(1.0, x**-0.5)
+                for order, x, value in zip(orders.tolist(), r.tolist(), values.tolist())
+            ]
+        assert float(max(errors)) <= JV_ABS_ERROR
 
 class TestLogGamma:
     """math.lgamma, which every Gamma-function closed form uses."""
