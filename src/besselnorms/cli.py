@@ -5,7 +5,9 @@ file, and without it no file is read or written.
 
 Exit codes: 0 when the report's status is PASS, 1 when it is FAIL (any
 FAIL or INCONCLUSIVE entry, a sweep that certifies no threshold included),
-2 usage or domain error (a degree search past the order limit included).
+2 for a usage or domain error (a degree search past the order limit
+included) or a quadrature still above its tolerance after the refinement
+cap, with no report; an engine error prints one "error: ..." line.
 """
 
 from __future__ import annotations
@@ -24,14 +26,16 @@ from .hierarchy import verify_p4, verify_pst, verify_sup_monotone
 from .local import DeficitCoefficients, verify_holder_chain, verify_second_order_positivity
 from .norms import (
     INFINITY,
+    Claim,
     NormKey,
     NormValue,
+    Status,
     lambda_finite,
     lambda_sup,
     stein_tomas_exponent,
     truncated_power,
 )
-from .quadrature import Enclosure
+from .quadrature import Enclosure, QuadratureError
 from .specfun import SpecfunDomainError, check_admissible
 from .store import ResultCache
 from .sweep import MAX_GRID_POINTS, p0_report
@@ -59,37 +63,42 @@ def _enclosure_dict(enc: Enclosure) -> dict:
     }
 
 
-def _witness_value(value) -> object:
-    if isinstance(value, Enclosure):
-        return _enclosure_dict(value)
-    if isinstance(value, NormValue):
-        return {
-            "enclosure": _enclosure_dict(value.enclosure),
-            "R_used": fmt(value.R_used),
-            "method": value.method.value,
-        }
-    if isinstance(value, DeficitCoefficients):
-        return {
-            "cross_norm": _enclosure_dict(value.cross_norm),
-            "lambda0_p": _enclosure_dict(value.lambda0_p),
-            "coeff_real_part": fmt(value.coeff_real_part),
-            "coeff_modulus": fmt(value.coeff_modulus),
-        }
-    if isinstance(value, float):
-        return fmt(value)
-    return value
+def _entry(claim: Claim) -> dict:
+    """The report entry of a claim, built here only (every command returns
+    one claim per entry): "inf" for an infinite parameter, the value ends
+    (null when absent) as fmt strings, and the fields of its kind, each
+    witness value in its report form."""
 
+    def witness_value(value) -> object:
+        if isinstance(value, Enclosure):
+            return _enclosure_dict(value)
+        if isinstance(value, NormValue):
+            return {
+                "enclosure": _enclosure_dict(value.enclosure),
+                "R_used": fmt(value.R_used),
+                "method": value.method.value,
+            }
+        if isinstance(value, DeficitCoefficients):
+            return {
+                "cross_norm": _enclosure_dict(value.cross_norm),
+                "lambda0_p": _enclosure_dict(value.lambda0_p),
+                "coeff_real_part": fmt(value.coeff_real_part),
+                "coeff_modulus": fmt(value.coeff_modulus),
+            }
+        if isinstance(value, float):
+            return fmt(value)
+        return value
 
-def _entry(id: str, params: dict, status: str, lower=None, upper=None, notes=(), **fields) -> dict:
-    """One report entry: the value ends (null when absent) as fmt strings,
-    plus the fields of its kind."""
+    fields = dict(claim.fields)
+    if "witnesses" in fields:
+        fields["witnesses"] = [{"description": desc, "value": witness_value(v)} for desc, v in fields["witnesses"]]
     return {
-        "id": id,
-        "params": params,
-        "status": status,
-        "value_lower": None if lower is None else fmt(lower),
-        "value_upper": None if upper is None else fmt(upper),
-        "notes": list(notes),
+        "id": claim.id,
+        "params": {key: ("inf" if v == INFINITY else v) for key, v in claim.params.items()},
+        "status": claim.status.value,
+        "value_lower": None if claim.lower is None else fmt(claim.lower),
+        "value_upper": None if claim.upper is None else fmt(claim.upper),
+        "notes": list(claim.notes),
         **fields,
     }
 
@@ -122,14 +131,15 @@ def _parse_p(raw: str) -> float:
     return float(raw)
 
 
-def cmd_norm(args) -> list[dict]:
+def cmd_norm(args) -> list[Claim]:
     p = _parse_p(args.p)
     if p == INFINITY:
         nv = lambda_sup(args.d, args.k)
     else:
         nv = lambda_finite(NormKey(args.d, p, args.k), args.R)
-    params = {"d": args.d, "p": "inf" if p == INFINITY else p, "k": args.k, "R": nv.R_used}
-    return [_entry("norm", params, "PASS", nv.enclosure.lower, nv.enclosure.upper, method=nv.method.value)]
+    params = {"d": args.d, "p": p, "k": args.k, "R": nv.R_used}
+    enc = nv.enclosure
+    return [Claim("norm", params, lower=enc.lower, upper=enc.upper, fields={"method": nv.method.value})]
 
 
 def _pair_exponent(args) -> float:
@@ -140,50 +150,48 @@ def _pair_exponent(args) -> float:
     return {2: 6.0, 3: 4.0}.get(args.d, stein_tomas_exponent(args.d))
 
 
-def cmd_verify(args) -> list[dict]:
-    record = args.verify(args)
-    params = {key: ("inf" if v == INFINITY else v) for key, v in record.params.items()}
-    witnesses = [{"description": desc, "value": _witness_value(v)} for desc, v in record.witnesses]
-    fields = {"witnesses": witnesses, "k_explicit": record.k_explicit, "k_dominated_from": record.k_dominated_from}
-    return [_entry(record.claim_id.value, params, record.status.value, notes=record.notes, **fields)]
+def cmd_verify(args) -> list[Claim]:
+    return [args.verify(args)]
 
 
-def cmd_sweep(args) -> list[dict]:
+def cmd_sweep(args) -> list[Claim]:
     threshold, results = p0_report(args.d, step=args.step)
-    entries = [
-        _entry(
+    claims = [
+        Claim(
             f"sweep-{res.regime.value}",
             {"d": res.d, "p_min": res.p_grid[0], "p_max": res.p_grid[-1], "step": args.step},
-            "PASS" if res.certified_threshold is not None else "FAIL",
-            certified_threshold=res.certified_threshold,
-            published_threshold=res.published_threshold,
-            limit_margin=fmt(res.limit_margin) if res.limit_margin is not None else None,
+            Status.PASS if res.certified_threshold is not None else Status.FAIL,
+            fields={
+                "certified_threshold": res.certified_threshold,
+                "published_threshold": res.published_threshold,
+                "limit_margin": fmt(res.limit_margin) if res.limit_margin is not None else None,
+            },
         )
         for res in results
     ]
     published = golden.THRESHOLDS[args.d]
-    entries.append(
-        _entry(
-            "p0-threshold",
-            {"d": args.d},
-            "PASS" if golden.meets_threshold(threshold, published) else "FAIL",
-            threshold,
-            threshold,
-            certified_threshold=threshold,
-            published_threshold=published,
-        )
-    )
-    return entries
+    status = Status.PASS if golden.meets_threshold(threshold, published) else Status.FAIL
+    fields = {"certified_threshold": threshold, "published_threshold": published}
+    claims.append(Claim("p0-threshold", {"d": args.d}, status, lower=threshold, upper=threshold, fields=fields))
+    return claims
 
 
-def cmd_reproduce(args) -> list[dict]:
-    rows = []  # (label, params, computed value, reference)
+def cmd_reproduce(args) -> list[Claim]:
+    matches = golden.meets_threshold if args.table == "thresholds" else golden.matches_6sf
+    claims = []
+
+    def row(label: str, params: dict, value: float, ref: float) -> None:
+        """One row: the computed value and its one "matches the published value" verdict."""
+        status = Status.PASS if matches(value, ref) else Status.FAIL
+        fields = {"reference": fmt(ref)}
+        claims.append(Claim(f"reproduce:{label}", params, status, lower=value, upper=value, fields=fields))
+
     if args.table == "sup-values":
         for d, ref in golden.SUP_NORM_DEGREE_ONE.items():
-            rows.append((f"sup d={d} k=1", {"d": d, "k": 1}, lambda_sup(d, 1).enclosure.midpoint, ref))
+            row(f"sup d={d} k=1", {"d": d, "k": 1}, lambda_sup(d, 1).enclosure.midpoint, ref)
     elif args.table == "thresholds":
         for d, ref in golden.THRESHOLDS.items():
-            rows.append((f"threshold d={d}", {"d": d}, p0_report(d, step=args.step)[0], ref))
+            row(f"threshold d={d}", {"d": d}, p0_report(d, step=args.step)[0], ref)
     else:
         if args.table == "p4-truncations":
             name, exponent = "p4", lambda d: 4.0
@@ -198,12 +206,8 @@ def cmd_reproduce(args) -> list[dict]:
         for R, refs in parts:
             for (d, k), ref in refs.items():
                 truncated = truncated_power(NormKey(d, exponent(d), k), float(R))
-                rows.append((f"{name} [0,{R}] d={d} k={k}", {"d": d, "k": k, "R": R}, truncated.midpoint, ref))
-    matches = golden.meets_threshold if args.table == "thresholds" else golden.matches_6sf
-    return [
-        _entry(f"reproduce:{label}", params, "PASS" if matches(value, ref) else "FAIL", value, value, reference=fmt(ref))
-        for label, params, value, ref in rows
-    ]
+                row(f"{name} [0,{R}] d={d} k={k}", {"d": d, "k": k, "R": R}, truncated.midpoint, ref)
+    return claims
 
 
 class _Subparser(argparse.ArgumentParser):
@@ -282,13 +286,13 @@ def main(argv: list[str] | None = None) -> int:
     cache = ResultCache(args.cache)
     try:
         with store.using(cache):
-            entries = args.run(args)
-    except (SpecfunDomainError, ValueError) as exc:
+            claims = args.run(args)
+    except (SpecfunDomainError, ValueError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         cache.save()
-    status = "PASS" if all(e["status"] == "PASS" for e in entries) else "FAIL"
+    status = "PASS" if all(claim.status is Status.PASS for claim in claims) else "FAIL"
     # the output format does not affect computed values, so the digest leaves it out
     config = {"radius": _radius(args), "grid_step": getattr(args, "step", 0.01)}
     report = {
@@ -296,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": {**config, "output_format": args.format},
         "config_digest": hashlib.sha256(_canonical_json(config).encode()).hexdigest(),
-        "entries": entries,
+        "entries": [_entry(claim) for claim in claims],
         "status": status,
     }
     _emit(report, args.format)

@@ -7,7 +7,7 @@ Both checks first certify, through norms.best_k with top degree zero, that
 degree zero has the largest norm: L0 > Lk for every k >= 1.  Hölder then
 gives M(k) <= L0^(p-2) Lk^2 < L0^p for every k >= 1, which keeps both
 coefficient groups positive in every degree; the explicit M(k) are
-witnesses.  Every verdict is one norms.separate.
+witnesses.  Every verdict is one Claim.separate.
 
 The common (2 pi)^(p d / 2) prefactor cancels in every comparison made
 here, so all quantities are the normalized radial integrals.
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hierarchy import ClaimId, VerificationRecord
-from .norms import NormKey, Status, best_k, lambda_finite, lambda_power, radial_integral
+from .hierarchy import verify_claim
+from .norms import Claim, NormKey, Status, best_k, lambda_finite, lambda_power, radial_integral
 from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
 class DeficitCoefficients:
     """Worst-case-rounded quadratic coefficients for one degree k."""
 
-    d: int
-    p: float
-    k: int
     cross_norm: Enclosure
     lambda0_p: Enclosure
     coeff_real_part: float
@@ -69,39 +66,41 @@ def deficit_coefficients(d: int, p: float, k: int, R: float | None = None) -> De
     lam0p = lambda_power(NormKey(d, p, 0), R)
     signed_group = lam0p.lower - (m.upper if k % 2 == 0 else -m.lower)
     return DeficitCoefficients(
-        d=d, p=p, k=k, cross_norm=m, lambda0_p=lam0p,
+        cross_norm=m, lambda0_p=lam0p,
         coeff_real_part=(p * (p - 2.0) / 4.0) * signed_group,
         coeff_modulus=(p / 4.0) * (lam0p.lower - m.upper),
     )
 
 
-def _degree_zero_dominates(record: VerificationRecord, R: float | None) -> bool:
+def _degree_zero_dominates(claim: Claim, R: float | None) -> bool:
     """Certify L0 > Lk for every k >= 1 (norms.best_k with top degree zero),
-    recording the split; on failure the record turns INCONCLUSIVE."""
-    d, p = record.params["d"], record.params["p"]
-    result = best_k(d, p, 0, R, R)
-    record.k_dominated_from = result.dominated_from
-    if result.status is not Status.PASS:
-        record.status = Status.INCONCLUSIVE
-        record.notes.append("hypothesis not certified: argmax over degrees is not settled at 0")
-        record.notes.extend(result.notes)
+    recording the split; when that premise fails the claim turns
+    INCONCLUSIVE, with the premise's notes after its own."""
+    d, p = claim.params["d"], claim.params["p"]
+    premise = Claim("degree-zero premise", claim.params)
+    result = best_k(premise, d, p, 0, R, R)
+    claim.fields["k_dominated_from"] = result.dominated_from
+    if premise.status is not Status.PASS:
+        claim.status = Status.INCONCLUSIVE
+        claim.notes.append("hypothesis not certified: argmax over degrees is not settled at 0")
+        claim.notes.extend(premise.notes)
         return False
-    record.notes.append("hypothesis certified: degree 0 maximizes the norm")
+    claim.notes.append("hypothesis certified: degree 0 maximizes the norm")
     k_dom = result.dominated_from
     explicit = ", explicit enclosures below it" if k_dom > 1 else ""
-    record.notes.append(f"degree 0 dominates every k >= 1: the decreasing U bound from k={k_dom} on{explicit}")
+    claim.notes.append(f"degree 0 dominates every k >= 1: the decreasing U bound from k={k_dom} on{explicit}")
     return True
 
 
-def verify_holder_chain(d: int, p: float, k: int, R: float | None = None) -> VerificationRecord:
+def verify_holder_chain(d: int, p: float, k: int, R: float | None = None) -> Claim:
     """Check M(k) < L0^(p-2) Lk^2 < L0^p with enclosure-separated strictness,
     where L0, Lk are the degree-0 and degree-k norms.  For k = 0 the chain
     reads L0^p < L0^p < L0^p and cannot separate, so k >= 1."""
     if k < 1:
         raise ValueError(f"the Holder chain needs a degree k >= 1, got k={k}")
-    record = VerificationRecord(claim_id=ClaimId.HOLDER_CHAIN, params={"d": d, "p": p, "k": k})
-    if not _degree_zero_dominates(record, R):
-        return record
+    claim = verify_claim("HOLDER_CHAIN", {"d": d, "p": p, "k": k})
+    if not _degree_zero_dominates(claim, R):
+        return claim
 
     m = cross_norm(d, p, k, R)
     lam0 = lambda_finite(NormKey(d, p, 0), R).enclosure
@@ -110,15 +109,17 @@ def verify_holder_chain(d: int, p: float, k: int, R: float | None = None) -> Ver
     lower = lam0.lower ** (p - 2.0) * lamk.lower**2
     upper = lam0.upper ** (p - 2.0) * lamk.upper**2
     product = Enclosure(lower, upper, truncation_bound=0.5 * (upper - lower))
-    record.add("cross norm M(k)", m)
-    record.add("Holder product L0^(p-2) Lk^2", product)
-    record.add("degree-0 power L0^p", lam0p)
-    record.separate("M(k) vs L0^(p-2) Lk^2", m.upper, product.lower)
-    record.separate("L0^(p-2) Lk^2 vs L0^p", product.upper, lam0p.lower)
-    return record
+    claim.fields["witnesses"] += [
+        ("cross norm M(k)", m),
+        ("Holder product L0^(p-2) Lk^2", product),
+        ("degree-0 power L0^p", lam0p),
+    ]
+    claim.separate("M(k) vs L0^(p-2) Lk^2", m.upper, product.lower)
+    claim.separate("L0^(p-2) Lk^2 vs L0^p", product.upper, lam0p.lower)
+    return claim
 
 
-def verify_second_order_positivity(d: int, p: float, K: int, R: float | None = None) -> VerificationRecord:
+def verify_second_order_positivity(d: int, p: float, K: int, R: float | None = None) -> Claim:
     """Check positivity of both quadratic coefficient groups for k = 1..K,
     one separation M(k) < L0^p per degree (see deficit_coefficients).
 
@@ -127,21 +128,17 @@ def verify_second_order_positivity(d: int, p: float, K: int, R: float | None = N
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got K={K}")
-    record = VerificationRecord(
-        claim_id=ClaimId.SECOND_ORDER_POSITIVITY,
-        params={"d": d, "p": p, "K": K},
-        k_explicit=K,
-    )
-    if not _degree_zero_dominates(record, R):
-        return record
-    record.notes.append("first-order vanishing assumed (constants are critical points)")
-    record.notes.append(
+    claim = verify_claim("SECOND_ORDER_POSITIVITY", {"d": d, "p": p, "K": K}, k_explicit=K)
+    if not _degree_zero_dominates(claim, R):
+        return claim
+    claim.notes.append("first-order vanishing assumed (constants are critical points)")
+    claim.notes.append(
         "Holder: M(k) <= L0^(p-2) Lk^2 < L0^p for every k >= 1, so both coefficient "
         "groups are positive in every degree; the explicit k <= K are witnesses"
     )
 
     for k in range(1, K + 1):
         coeffs = deficit_coefficients(d, p, k, R)
-        record.add(f"coefficients at k={k}", coeffs)
-        record.separate(f"M({k}) vs L0^p", coeffs.cross_norm.upper, coeffs.lambda0_p.lower)
-    return record
+        claim.fields["witnesses"].append((f"coefficients at k={k}", coeffs))
+        claim.separate(f"M({k}) vs L0^p", coeffs.cross_norm.upper, coeffs.lambda0_p.lower)
+    return claim

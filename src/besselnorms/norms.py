@@ -1,7 +1,7 @@
 """The named weighted-norm quantities: finite-p norms with enclosures, the
 sup norms, closed forms, the Gamma-function upper bound U, the lower bound
 on the degree-zero norm, and the certificate that one degree dominates all
-higher ones.
+higher ones; and Claim, the one record of a report entry and its verdicts.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "SEPARATION_RTOL",
     "worst",
     "strictly_below",
-    "separate",
+    "Claim",
     "BestKResult",
     "lambda_finite",
     "lambda_power",
@@ -88,13 +88,32 @@ def strictly_below(smaller, larger):
     return smaller * (1.0 + SEPARATION_RTOL) < larger * (1.0 - SEPARATION_RTOL)
 
 
-def separate(what: str, smaller: float, larger: float, notes: list) -> Status:
-    """PASS when smaller is strictly below larger, FAIL when the order is
-    strictly reversed, INCONCLUSIVE otherwise; a note when not PASS."""
-    if strictly_below(smaller, larger):
-        return Status.PASS
-    notes.append(f"{what}: {smaller} not strictly below {larger}")
-    return Status.FAIL if strictly_below(larger, smaller) else Status.INCONCLUSIVE
+@dataclass
+class Claim:
+    """One report entry: an id ("P4_HIERARCHY", "norm", "sweep-STEP1_FOUR_INF",
+    ...), its parameters, the worst of its verdicts, the notes of the
+    verdicts that did not pass, the value ends (None when absent) and the
+    report fields of its kind (cli._entry puts witness values in report
+    form)."""
+
+    id: str
+    params: dict
+    status: Status = Status.PASS
+    notes: list = field(default_factory=list)
+    lower: float | None = None
+    upper: float | None = None
+    fields: dict = field(default_factory=dict)
+
+    def separate(self, what: str, smaller: float, larger: float) -> Status:
+        """The one verdict rule: PASS when smaller is strictly below larger,
+        FAIL when the order is strictly reversed, INCONCLUSIVE otherwise; a
+        note when not PASS.  The verdict is folded into the status."""
+        if strictly_below(smaller, larger):
+            return Status.PASS
+        self.notes.append(f"{what}: {smaller} not strictly below {larger}")
+        verdict = Status.FAIL if strictly_below(larger, smaller) else Status.INCONCLUSIVE
+        self.status = worst(self.status, verdict)
+        return verdict
 
 
 @dataclass(frozen=True)
@@ -119,7 +138,6 @@ class NormKey:
 
 @dataclass(frozen=True)
 class NormValue:
-    key: NormKey
     enclosure: Enclosure
     R_used: float
     method: Method
@@ -175,7 +193,7 @@ def lambda_finite(key: NormKey, R: float | None = None) -> NormValue:
     """The finite-p norm as an enclosure (p-th root of the power enclosure)."""
     R = default_radius(key.d, key.k) if R is None else R
     power = lambda_power(key, R)
-    return NormValue(key=key, enclosure=power.powered(1.0 / key.p), R_used=R, method=Method.QUADRATURE_TAIL)
+    return NormValue(enclosure=power.powered(1.0 / key.p), R_used=R, method=Method.QUADRATURE_TAIL)
 
 
 def lambda_sup(d: int, k):
@@ -203,7 +221,7 @@ def lambda_sup(d: int, k):
     for key in keys:
         if key.k == 0:
             value = lambda_sup_zero_closed(d)
-            values.append(NormValue(key=key, enclosure=Enclosure.point(value), R_used=0.0, method=Method.CLOSED_FORM))
+            values.append(NormValue(enclosure=Enclosure.point(value), R_used=0.0, method=Method.CLOSED_FORM))
             continue
         r_star, j_star = next(peaks)
         if not (j_star > 0.0 and r_star < first_zero_estimate(key.nu)):
@@ -211,7 +229,7 @@ def lambda_sup(d: int, k):
         value = j_star * r_star ** (1.0 - d / 2.0)
         slack = 1e-11 * value
         enc = Enclosure(value - slack, value + slack, truncation_bound=slack)
-        values.append(NormValue(key=key, enclosure=enc, R_used=r_star, method=Method.CRITICAL_POINT))
+        values.append(NormValue(enclosure=enc, R_used=r_star, method=Method.CRITICAL_POINT))
     return values[0] if np.ndim(k) == 0 else values
 
 
@@ -294,17 +312,13 @@ class BestKResult:
     power, the first degree the U bound settles, the U value there, and the
     explicit enclosures (k, power) of the degrees strictly between."""
 
-    d: int
-    p: float
     top_power: Enclosure
     dominated_from: int
     u_dominated: float
-    status: Status = Status.PASS
     explicit: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
 
-def best_k(d: int, p: float, top: int, R_top: float | None = None, R: float | None = None) -> BestKResult:
+def best_k(claim: Claim, d: int, p: float, top: int, R_top: float | None = None, R: float | None = None) -> BestKResult:
     """Certify that degree `top` has the largest norm among all degrees k >= top.
 
     1. Enclose the p-th power of degree `top` on [0, R_top] plus tail; its
@@ -314,7 +328,7 @@ def best_k(d: int, p: float, top: int, R_top: float | None = None, R: float | No
        so this settles every k >= k_dom at once.  A degree below k_dom whose
        order exceeds MAX_TWICE_NU cannot be enclosed: SpecfunDomainError.
     3. Enclose each degree strictly between on [0, R] plus tail and separate
-       its upper end from the bar; the status is the worst of these verdicts.
+       its upper end from the bar, each verdict folded into claim.
     """
     lo_strip, hi_strip = validity_strip(d)
     if not lo_strip < p < hi_strip:
@@ -329,10 +343,9 @@ def best_k(d: int, p: float, top: int, R_top: float | None = None, R: float | No
                 f"no domination degree for d={d}, p={p}: degree {k_dom} would need order 2nu={order} > MAX_TWICE_NU={MAX_TWICE_NU}"
             )
         k_dom += 1
-    result = BestKResult(d=d, p=p, top_power=top_power, dominated_from=k_dom, u_dominated=u_dom)
+    result = BestKResult(top_power=top_power, dominated_from=k_dom, u_dominated=u_dom)
     for k in range(top + 1, k_dom):
         power = lambda_power(NormKey(d, p, k), R)
         result.explicit.append((k, power))
-        verdict = separate(f"degree {k} vs degree {top}", power.upper, bar, result.notes)
-        result.status = worst(result.status, verdict)
+        claim.separate(f"degree {k} vs degree {top}", power.upper, bar)
     return result

@@ -21,7 +21,7 @@ zero carries the Gauss-Jacobi weight (1 -+ x)^e: the rule then takes that
 endpoint behaviour exactly and integrates an analytic factor.  There the
 error stays an estimate, |high-order - low-order|, not a proven bound.  On
 either path panels are halved where the error is large, and each panel is
-evaluated once.  Inside a sharing() block, even-exponent integrals share
+evaluated once.  Even-exponent integrals given one J-value memo share
 their J values at a common node array, so those of one command at one
 radius evaluate each order there once.
 """
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_QUAD_CONFIG",
     "QuadratureError",
     "integrate_weighted_power",
-    "sharing",
     "tail_bound",
 ]
 
@@ -60,8 +58,6 @@ _U = 2.0**-53
 _RHOS = 2.0 ** (np.arange(1, 13) / 2.0)
 _SEMI_MAJOR = 0.5 * (_RHOS + 1.0 / _RHOS)
 _SEMI_MINOR = 0.5 * (_RHOS - 1.0 / _RHOS)
-# the J-value memo of the enclosing sharing() block
-_shared: dict | None = None
 
 
 class QuadratureError(RuntimeError):
@@ -359,7 +355,10 @@ def _jacobi_rule(n: int, left: float, right: float) -> tuple[np.ndarray, np.ndar
     nodes = np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[: n - 1], 1) + np.diag(off[: n - 1], -1))
     q, dq, _ = orthonormal(nodes)
     nodes = nodes - q / dq
-    mu0 = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+    try:
+        mu0 = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+    except OverflowError:
+        raise SpecfunDomainError(f"Gauss-Jacobi weight exponents ({left}, {right}) too large: mu_0 overflows") from None
     weights = mu0 / orthonormal(nodes)[2]
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -492,20 +491,9 @@ def panel_integrate(
     return value, total_err + tol + len(panels) * _U * value
 
 
-@contextmanager
-def sharing(memo: dict):
-    """Let the even-exponent integrals computed in the block share J values
-    through memo (see _amplitude); outside such a block each has its own."""
-    global _shared
-    previous, _shared = _shared, memo
-    try:
-        yield memo
-    finally:
-        _shared = previous
-
-
 def integrate_weighted_power(
-    d: int, p: float, k: int, R: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG, kind: str = "power"
+    d: int, p: float, k: int, R: float, cfg: QuadConfig = DEFAULT_QUAD_CONFIG, kind: str = "power",
+    memo: dict | None = None,
 ) -> Enclosure:
     """Enclosure of the truncated integral of the given kind on [0, R].
 
@@ -513,9 +501,9 @@ def integrate_weighted_power(
     one factor whose exponent is not, with that end exponent there, and the
     error is the |G_high - G_low| estimate.  With every exponent even, the
     error is _gauss_remainder plus the evaluation term of _even_integrand,
-    and J values come from the memo of the enclosing sharing() block, if
-    any.  Kinked integrals do not share: their nodes follow the zeros and
-    the halving of each integral, so a memo would only hold arrays.
+    and J values come from memo (see _amplitude), a fresh one when None.
+    Kinked integrals do not share: their nodes follow the zeros and the
+    halving of each integral, so a memo would only hold arrays.
     """
     _check_weighted_preconditions(d, p, k, R)
     factors = _factors(d, p, k, kind)
@@ -526,7 +514,7 @@ def integrate_weighted_power(
     if alpha:
         value, err = panel_integrate(_integrand(d, factors), 0.0, R, cfg, zeros, alpha)
     else:
-        memo = {} if _shared is None else _shared
+        memo = {} if memo is None else memo
         remainder = functools.partial(_gauss_remainder, d, factors, cfg.gauss_order_high)
         value, err = panel_integrate(_even_integrand(d, factors, memo), 0.0, R, cfg, remainder=remainder)
     return Enclosure(max(value - err, 0.0), value + err, quad_error_bound=err)

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig, sharing
+from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig
 
 __all__ = ["ResultCache", "current", "using"]
 
@@ -101,13 +101,12 @@ class ResultCache:
         R: float,
         cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
     ) -> Enclosure:
-        """The stored truncated integral; compute(d, p, k, R, cfg, kind) on a
-        miss, sharing this store's J values (quadrature.sharing)."""
+        """The stored truncated integral; compute(d, p, k, R, cfg, kind,
+        self.bessel) on a miss, so that it shares this store's J values."""
         key = _entry_key(kind, d, p, k, R, cfg)
         enc = self.get_enclosure(key)
         if enc is None:
-            with sharing(self.bessel):
-                enc = compute(d, p, k, R, cfg, kind)
+            enc = compute(d, p, k, R, cfg, kind, self.bessel)
             self.data[key] = [enc.lower, enc.upper, enc.truncation_bound, enc.quad_error_bound]
             self.dirty = True
         return enc

@@ -224,6 +224,30 @@ class TestOutsideInputs:
         assert "more than MAX_GRID_POINTS=1000000 points" in captured.err
         assert anchors == []
 
+    def test_jacobi_weight_past_the_gamma_range_exits_2(self, capsys, cache_file):
+        # the end weight (1 - x^2)^99.5 of a kinked panel needs Gamma(201) for
+        # its mu_0, past the float range: one error line, no report
+        code = main(["norm", "--d", "2", "--p", "99.5", "--k", "3", "--cache", cache_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: Gauss-Jacobi weight exponents (99.5, 99.5) too large: mu_0 overflows"
+        ]
+
+    def test_quadrature_past_the_refinement_cap_exits_2(self, capsys, monkeypatch, cache_file):
+        # norm --d 2 --p 1000 --k 3 halves panels until the cap, about 15 s;
+        # a stand-in for panel_integrate raises the same error at once
+        message = "remainder 1.0e-300 above tolerance 0.0e+00 after 30 refinements (516630 panels)"
+
+        def capped(*args, **kwargs):
+            raise quadrature.QuadratureError(message)
+
+        monkeypatch.setattr(quadrature, "panel_integrate", capped)
+        code = main(["norm", "--d", "2", "--p", "1000", "--k", "3", "--cache", cache_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
     def test_sweep_certifying_nothing_fails(self, capsys, cache_file):
         code, report = run_json(capsys, "sweep", "--d", "10", "--step", "100", "--cache", cache_file)
         assert code == 1 and report["status"] == "FAIL"
@@ -299,6 +323,66 @@ class TestOneReportThreeFormats:
         assert json_code == csv_code == text_code == (0 if report["status"] == "PASS" else 1)
         notes = [n for e in report["entries"] for n in e["notes"]]
         assert [line.removeprefix("    note: ") for line in text_out.splitlines() if line.startswith("    note: ")] == notes
+
+
+class TestReportSchema:
+    """The keys of every entry kind and the JSON type of each field: numbers
+    for parameters and thresholds, 17-digit strings for values, ints for
+    degree splits."""
+
+    COMMON = {"id", "params", "status", "value_lower", "value_upper", "notes"}
+    VERIFY = COMMON | {"witnesses", "k_explicit", "k_dominated_from"}
+    THRESHOLDS = COMMON | {"certified_threshold", "published_threshold"}
+
+    @staticmethod
+    def is_number(value):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    @classmethod
+    def check_types(cls, entry):
+        assert isinstance(entry["id"], str) and entry["status"] in ("PASS", "FAIL", "INCONCLUSIVE")
+        assert all(isinstance(note, str) for note in entry["notes"])
+        assert all(cls.is_number(v) or (key, v) == ("p", "inf") for key, v in entry["params"].items())
+        for key in ("certified_threshold", "published_threshold"):
+            assert key not in entry or cls.is_number(entry[key])
+        for key in ("value_lower", "value_upper", "limit_margin", "reference"):
+            value = entry.get(key)
+            assert value is None or isinstance(value, str) and fmt(float(value)) == value
+        for key in ("k_explicit", "k_dominated_from"):
+            assert entry.get(key) is None or type(entry[key]) is int
+        for witness in entry.get("witnesses", []):
+            assert set(witness) == {"description", "value"} and isinstance(witness["description"], str)
+            leaves = [witness["value"]]
+            while leaves:
+                leaf = leaves.pop()
+                if isinstance(leaf, dict):
+                    leaves.extend(leaf.values())
+                else:
+                    assert isinstance(leaf, str)
+
+    @pytest.mark.parametrize(
+        "argv,keys",
+        [
+            (("norm", "--d", "3", "--p", "4", "--k", "1"), [COMMON | {"method"}]),
+            (("norm", "--d", "3", "--p", "inf", "--k", "1"), [COMMON | {"method"}]),
+            (("verify", "sup-monotone", "--d", "3", "--K", "3"), [VERIFY]),
+            (("verify", "p4", "--d", "3"), [VERIFY]),
+            (("verify", "pst", "--d", "4"), [VERIFY]),
+            (("verify", "holder-chain", "--d", "3", "--k", "1"), [VERIFY]),
+            (("verify", "local-coefficients", "--d", "3", "--K", "2"), [VERIFY]),
+            (("sweep", "--d", "5"), [THRESHOLDS | {"limit_margin"}] * 2 + [THRESHOLDS]),
+            (("reproduce", "--table", "sup-values"), [COMMON | {"reference"}] * 9),
+        ],
+        ids=["norm", "norm-inf", "sup-monotone", "p4", "pst", "holder-chain", "local-coefficients", "sweep", "reproduce"],
+    )
+    def test_keys_and_types(self, capsys, cache_file, argv, keys):
+        code, report = run_json(capsys, *argv, "--cache", cache_file)
+        assert code == 0
+        assert [set(entry) for entry in report["entries"]] == keys
+        for entry in report["entries"]:
+            self.check_types(entry)
+        if argv[0] == "verify":
+            assert report["entries"][0]["witnesses"]
 
 
 class TestOutputFormats:
@@ -436,9 +520,9 @@ class TestCache:
         assert all(enc is not None for enc in looked_up)
 
     def test_local_coefficients_reuse_holder_chain_cross_norms(self, capsys, cache_file, monkeypatch):
-        # the store passes the kind last: (d, p, k, R, cfg, kind)
+        # the store passes (d, p, k, R, cfg, kind, memo)
         integrals = count_calls(monkeypatch, norms, "integrate_weighted_power")
-        cross_degrees = lambda: [args[2] for args in integrals if args[-1] == "cross"]
+        cross_degrees = lambda: [args[2] for args in integrals if args[5] == "cross"]
         for k in ("1", "2"):
             code, _ = run_json(capsys, "verify", "holder-chain", "--d", "3", "--p", "4", "--k", k, "--cache", cache_file)
             assert code == 0

@@ -3,13 +3,12 @@ import pytest
 import besselnorms.hierarchy as hierarchy
 import besselnorms.norms as norms
 from besselnorms.hierarchy import (
-    ClaimId,
-    VerificationRecord,
+    verify_claim,
     verify_p4,
     verify_pst,
     verify_sup_monotone,
 )
-from besselnorms.norms import INFINITY, Method, NormKey, NormValue, Status, best_k, upper_bound_U
+from besselnorms.norms import Claim, Method, NormKey, NormValue, Status, best_k, upper_bound_U
 from besselnorms.quadrature import Enclosure
 from besselnorms.specfun import SpecfunDomainError
 
@@ -22,9 +21,9 @@ class TestSupMonotone:
     @pytest.mark.parametrize("d", [2, 3, 7, 10])
     def test_passes(self, d):
         record = verify_sup_monotone(d, 6)
-        assert record.claim_id is ClaimId.SUP_MONOTONE
+        assert record.id == "SUP_MONOTONE"
         assert record.status is Status.PASS
-        assert len(record.witnesses) == 7
+        assert len(record.fields["witnesses"]) == 7
 
     def test_beyond_published_dimensions(self):
         assert verify_sup_monotone(12, 4).status is Status.PASS
@@ -33,15 +32,15 @@ class TestSupMonotone:
         # near k=30 at d=12 the values are about 3e-9, so an absolute 1e-9 floor swallows their gaps
         record = verify_sup_monotone(12, 30)
         assert record.status is Status.PASS
-        assert record.witnesses[-1][1].enclosure.upper < 3e-9
+        assert record.fields["witnesses"][-1][1].enclosure.upper < 3e-9
 
     def test_fail_is_not_overwritten_by_a_later_overlap(self, monkeypatch):
         # degree 1 strictly above degree 0 fails; degree 2 equal to degree 1
         # cannot be separated; the claim takes the worst verdict
         def faked(d, ks):
             return [
-                NormValue(NormKey(d, INFINITY, k), Enclosure.point(v), 1.0, Method.CRITICAL_POINT)
-                for k, v in zip(ks, [1.0, 2.0, 2.0, 0.5])
+                NormValue(Enclosure.point(v), 1.0, Method.CRITICAL_POINT)
+                for _, v in zip(ks, [1.0, 2.0, 2.0, 0.5])
             ]
 
         monkeypatch.setattr(hierarchy, "lambda_sup", faked)
@@ -59,7 +58,7 @@ class TestSupMonotone:
 
 class TestDominationDegree:
     def test_settles_where_u_crosses(self):
-        result = best_k(3, 4.0, 1, 40.0, 200.0)
+        result = best_k(Claim("test", {}), 3, 4.0, 1, 40.0, 200.0)
         bar = result.top_power.lower
         k = result.dominated_from
         assert upper_bound_U(3, 4.0, k) < bar <= upper_bound_U(3, 4.0, k - 1)
@@ -70,7 +69,7 @@ class TestDominationDegree:
         # any k_dom could not be enclosed, so the search stops there
         monkeypatch.setattr(norms, "lambda_power", lambda *a, **kw: Enclosure.point(1e-300))
         with pytest.raises(SpecfunDomainError):
-            best_k(3, 4.0, 1)
+            best_k(Claim("test", {}), 3, 4.0, 1)
 
 
 class TestP4Hierarchy:
@@ -78,11 +77,11 @@ class TestP4Hierarchy:
     def test_passes_with_expected_split(self, d):
         record = verify_p4(d)
         assert record.status is Status.PASS
-        assert record.k_dominated_from == P4_DOMINATION_SPLIT[d]
+        assert record.fields["k_dominated_from"] == P4_DOMINATION_SPLIT[d]
 
     def test_records_all_intermediate_degrees(self):
         record = verify_p4(3)
-        labels = [desc for desc, _ in record.witnesses]
+        labels = [desc for desc, _ in record.fields["witnesses"]]
         assert labels == [
             "degree-1 fourth power on [0,40] + tail",
             "U(d,4,5)",
@@ -104,7 +103,7 @@ class TestPstHierarchy:
     def test_passes_with_expected_split(self, d):
         record = verify_pst(d)
         assert record.status is Status.PASS
-        assert record.k_dominated_from == PST_DOMINATION_SPLIT[d]
+        assert record.fields["k_dominated_from"] == PST_DOMINATION_SPLIT[d]
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_low_dimensions_gate_the_degree_zero_step(self, d):
@@ -112,7 +111,7 @@ class TestPstHierarchy:
         record = verify_pst(d)
         assert record.status is Status.PASS
         assert not any("accepted externally" in note for note in record.notes)
-        witnesses = dict(record.witnesses)
+        witnesses = dict(record.fields["witnesses"])
         assert witnesses["degree-1 power on [0,50] + tail"].upper < witnesses["degree-0 power on [0,50] + tail"].lower
 
     @staticmethod
@@ -142,8 +141,9 @@ class TestPstHierarchy:
             verify_pst(3)
 
 
-class TestVerificationRecord:
-    def test_add(self):
-        record = VerificationRecord(claim_id=ClaimId.P4_HIERARCHY, params={}, status=Status.PASS)
-        record.add("witness", 1.0)
-        assert record.witnesses == [("witness", 1.0)]
+class TestVerifyClaim:
+    def test_fields(self):
+        claim = verify_claim("P4_HIERARCHY", {}, k_explicit=3)
+        assert claim.status is Status.PASS and claim.notes == []
+        assert claim.lower is claim.upper is None
+        assert claim.fields == {"witnesses": [], "k_explicit": 3, "k_dominated_from": None}

@@ -100,7 +100,7 @@ class TestHolderChain:
 
     def test_chain_ordering_witnesses(self):
         record = verify_holder_chain(3, 4.0, 2)
-        witnesses = dict(record.witnesses)
+        witnesses = dict(record.fields["witnesses"])
         m = witnesses["cross norm M(k)"]
         product = witnesses["Holder product L0^(p-2) Lk^2"]
         power = witnesses["degree-0 power L0^p"]
@@ -113,7 +113,7 @@ class TestHolderChain:
         assert record.status is Status.INCONCLUSIVE
         assert any("not settled" in note for note in record.notes)
         assert any(note.startswith("degree 1 vs degree 0") for note in record.notes)
-        assert record.witnesses == []
+        assert record.fields["witnesses"] == []
 
 
 class TestSecondOrderPositivity:
@@ -121,7 +121,7 @@ class TestSecondOrderPositivity:
     def test_passes_small_depth(self, d, p):
         record = verify_second_order_positivity(d, p, K=3)
         assert record.status is Status.PASS
-        assert len([w for w in record.witnesses if w[0].startswith("coefficients")]) == 3
+        assert len([w for w in record.fields["witnesses"] if w[0].startswith("coefficients")]) == 3
 
     def test_assumption_is_recorded(self):
         record = verify_second_order_positivity(3, 4.0, K=1)
@@ -131,7 +131,7 @@ class TestSecondOrderPositivity:
     def test_inconclusive_without_argmax_hypothesis(self):
         record = verify_second_order_positivity(2, 6.0, K=2)
         assert record.status is Status.INCONCLUSIVE
-        assert record.k_dominated_from == 3
+        assert record.fields["k_dominated_from"] == 3
         assert not any(note.startswith("Holder") for note in record.notes)
 
     @pytest.mark.parametrize("pair", list(LOCAL_DOMINATION_SPLIT))
@@ -139,5 +139,5 @@ class TestSecondOrderPositivity:
         d, p = pair
         record = verify_second_order_positivity(d, p, K=1)
         assert record.status is Status.PASS
-        assert record.k_dominated_from == LOCAL_DOMINATION_SPLIT[pair]
+        assert record.fields["k_dominated_from"] == LOCAL_DOMINATION_SPLIT[pair]
         assert any("positive in every degree" in note for note in record.notes)

@@ -10,6 +10,7 @@ from besselnorms import golden
 from besselnorms.norms import (
     INFINITY,
     BestKResult,
+    Claim,
     Method,
     NormKey,
     NormValue,
@@ -86,7 +87,6 @@ class TestNormValue:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             NormValue(
-                key=NormKey(3, 4.0, 0),
                 enclosure=Enclosure(0.0, 0.1, truncation_bound=0.05),
                 R_used=200.0,
                 method=Method.QUADRATURE_TAIL,
@@ -95,7 +95,6 @@ class TestNormValue:
     def test_closed_form_must_be_tight(self):
         with pytest.raises(ValueError):
             NormValue(
-                key=NormKey(3, 4.0, 0),
                 enclosure=Enclosure(1.0, 1.001, truncation_bound=0.0005),
                 R_used=0.0,
                 method=Method.CLOSED_FORM,
@@ -353,9 +352,10 @@ class TestLowerBoundL0:
 
 class TestBestK:
     def test_finite_p_degree_zero_wins(self):
-        result = best_k(2, 6.0, 0)
+        claim = Claim("test", {})
+        result = best_k(claim, 2, 6.0, 0)
         assert isinstance(result, BestKResult)
-        assert result.status is Status.PASS
+        assert claim.status is Status.PASS and claim.notes == []
         assert result.dominated_from == 3
         assert result.top_power == lambda_power(NormKey(2, 6.0, 0))
         assert [k for k, _ in result.explicit] == [1, 2]
@@ -365,11 +365,11 @@ class TestBestK:
     def test_sup_exponent_rejected(self):
         # the sup norms are ordered by verify sup-monotone, degree by degree
         with pytest.raises(SpecfunDomainError):
-            best_k(3, INFINITY, 0)
+            best_k(Claim("test", {}), 3, INFINITY, 0)
 
     def test_outside_strip_rejected(self):
         with pytest.raises(SpecfunDomainError):
-            best_k(3, 3.1, 2)
+            best_k(Claim("test", {}), 3, 3.1, 2)
 
     def test_search_stops_at_the_order_limit(self, monkeypatch):
         # near the lower strip end (3.2 for d = 3) U decays slowly: degree 60,
@@ -378,5 +378,5 @@ class TestBestK:
         original = norms.lambda_power
         monkeypatch.setattr(norms, "lambda_power", lambda key, *a: powers.append(key.k) or original(key, *a))
         with pytest.raises(SpecfunDomainError, match="degree 60 would need order 2nu=121"):
-            best_k(3, 3.21, 0)
+            best_k(Claim("test", {}), 3, 3.21, 0)
         assert powers == [0]

@@ -1,4 +1,4 @@
-"""The one separation rule behind every verdict (norms.separate): the rule
+"""The one separation rule behind every verdict (norms.Claim.separate): the rule
 itself, each kind of separation at its tightest instance, and the closed
 forms that enter a separation against 30-digit mpmath.
 
@@ -20,12 +20,12 @@ import besselnorms.norms as norms
 import besselnorms.sweep as sweep
 from besselnorms.norms import (
     SEPARATION_RTOL,
+    Claim,
     Status,
     best_k,
     lambda4_zero,
     lambda_sup,
     lower_bound_L0,
-    separate,
     stein_tomas_exponent,
     strictly_below,
     upper_bound_U,
@@ -90,11 +90,15 @@ class TestRule:
         assert got.tolist() == [True, False, False]
 
     def test_three_verdicts_and_their_notes(self):
-        notes = []
-        assert separate("a", 1.0, 2.0, notes) is Status.PASS
-        assert separate("b", 1.0, 1.0, notes) is Status.INCONCLUSIVE
-        assert separate("c", 2.0, 1.0, notes) is Status.FAIL
-        assert notes == ["b: 1.0 not strictly below 1.0", "c: 2.0 not strictly below 1.0"]
+        claim = Claim("test", {})
+        assert claim.separate("a", 1.0, 2.0) is Status.PASS
+        assert claim.status is Status.PASS and claim.notes == []
+        assert claim.separate("b", 1.0, 1.0) is Status.INCONCLUSIVE
+        assert claim.status is Status.INCONCLUSIVE
+        assert claim.separate("c", 2.0, 1.0) is Status.FAIL
+        assert claim.separate("d", 1.0, 2.0) is Status.PASS
+        assert claim.status is Status.FAIL
+        assert claim.notes == ["b: 1.0 not strictly below 1.0", "c: 2.0 not strictly below 1.0"]
 
     def test_worst_verdict(self):
         assert worst(Status.PASS, Status.PASS) is Status.PASS
@@ -125,20 +129,22 @@ class TestTightestSeparationFlips:
     def test_explicit_degree_against_the_bar(self, monkeypatch):
         cases = []
         for args in P4 + PST + LOCAL:
-            result = best_k(*args)
+            result = best_k(Claim("test", {}), *args)
             cases += [(power.upper, result.top_power.lower, args, k) for k, power in result.explicit]
         margin, args, k = tightest(cases)
 
         def outcome(by):
             raise_upper_end(monkeypatch, norms, "lambda_power", by, lambda key, R=None: key.k == k)
-            return best_k(*args).status
+            claim = Claim("test", {})
+            best_k(claim, *args)
+            return claim.status
 
         assert_flips(monkeypatch, outcome, margin)
 
     def test_u_against_the_bar(self, monkeypatch):
         cases = []
         for args in P4 + PST + LOCAL:
-            result = best_k(*args)
+            result = best_k(Claim("test", {}), *args)
             cases.append((result.u_dominated, result.top_power.lower, args, result.dominated_from))
         margin, args, k_dom = tightest(cases)
         original = norms.upper_bound_U
@@ -148,7 +154,7 @@ class TestTightestSeparationFlips:
                 return original(d, p, k) + (by if k == k_dom else 0.0)
 
             monkeypatch.setattr(norms, "upper_bound_U", raised)
-            return best_k(*args).dominated_from
+            return best_k(Claim("test", {}), *args).dominated_from
 
         assert_flips(monkeypatch, outcome, margin)
 
@@ -163,7 +169,7 @@ class TestTightestSeparationFlips:
     def test_degree_one_against_degree_zero(self, monkeypatch, verify, instances, power_name, degree_zero):
         cases = []
         for d, _, _, R_top, _ in instances:
-            witnesses = dict(verify(d).witnesses)
+            witnesses = dict(verify(d).fields["witnesses"])
             power1 = witnesses[f"degree-1 {power_name} on [0,{R_top:g}] + tail"]
             cases.append((power1.upper, degree_zero(witnesses), d, R_top))
         margin, d, R_top = tightest(cases)
@@ -179,7 +185,7 @@ class TestTightestSeparationFlips:
         cases = []
         for d, p in LOCAL_PAIRS:
             for k in range(1, 9):
-                witnesses = dict(local.verify_holder_chain(d, p, k).witnesses)
+                witnesses = dict(local.verify_holder_chain(d, p, k).fields["witnesses"])
                 m = witnesses["cross norm M(k)"]
                 product = witnesses["Holder product L0^(p-2) Lk^2"]
                 power0 = witnesses["degree-0 power L0^p"]
@@ -209,7 +215,7 @@ class TestTightestSeparationFlips:
         for d, p in LOCAL_PAIRS:
             record = local.verify_second_order_positivity(d, p, 8)
             for k in range(1, 9):
-                coeffs = dict(record.witnesses)[f"coefficients at k={k}"]
+                coeffs = dict(record.fields["witnesses"])[f"coefficients at k={k}"]
                 cases.append((coeffs.cross_norm.upper, coeffs.lambda0_p.lower, d, p, k))
         margin, d, p, k = tightest(cases)
 
