@@ -1,7 +1,10 @@
 """Command-line front end: norm computations, hierarchy verifications,
 exponent sweeps and reproduction tables.  Each command keeps its integrals
-in an in-process result store; --cache PATH mirrors the store to a JSON
-file, and without it no file is read or written.
+in an in-process result store; --cache PATH journals the store to a file
+(see store): an engine-version stamp line, then one line per entry, last
+line winning, a torn last line losing only its entry.  A command appends
+only the integrals it computed, so a warm command leaves the file as it
+was; without --cache no file is read or written.
 
 Exit codes: 0 when the report's status is PASS, 1 when it is FAIL (any
 FAIL or INCONCLUSIVE entry, a sweep that certifies no threshold included),
@@ -227,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="besselnorms", description=__doc__)
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    shared.add_argument("--cache", default=None, help="JSON file that keeps computed integrals across runs (default: none)")
+    shared.add_argument("--cache", default=None, help="journal file that keeps computed integrals across runs (default: none)")
     # every subcommand takes the shared flags, except verify: its claims do
     subparser = lambda parents=(shared,), **kw: _Subparser(parents=list(parents), **kw)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)

@@ -414,9 +414,11 @@ def panel_integrate(
     is then the summed evaluation term, and the returned error adds
     (number of panels) u times the value for the sum over panels.  Panels
     whose remainder or estimate exceeds their share of the target are
-    halved, up to cfg.max_refinements rounds.  Each panel is evaluated once,
-    in the round that creates it: a round calls f on the new children only.
-    Panels stay sorted by start, so results are run-to-run identical.
+    halved, up to cfg.max_refinements rounds; a zero target, where the
+    integrand underflows at every node, raises at once.  Each panel is
+    evaluated once, in the round that creates it: a round calls f on the new
+    children only.  Panels stay sorted by start, so results are run-to-run
+    identical.
     """
     if b <= a:
         raise ValueError(f"empty interval [{a}, {b}]")
@@ -451,6 +453,12 @@ def panel_integrate(
 
     panels = np.column_stack([edges[:-1], edges[1:]])
     hi, err, rounding = evaluate(panels, codes)
+    if remainder is not None and target(rounding) == 0.0:
+        # every node underflowed to 0, so no halving can meet the zero target
+        raise QuadratureError(
+            f"integrand underflows to 0 at every node of {len(panels)} panels: "
+            f"remainder {float(err.sum()):.3e} above tolerance 0"
+        )
     for _ in range(cfg.max_refinements):
         tol = target(rounding)
         if float(err.sum()) <= tol:

@@ -1,25 +1,28 @@
 """The one result store: truncated integrals, held in memory and, when a
-CLI run names a file with --cache, mirrored to that JSON file.
+CLI run names a file with --cache, journaled to that file.
 
 An entry is keyed by its full identity: kind ("power" or "cross"), d, p, k,
 the resolved radius R and QuadConfig.key().  Only the truncated integral on
 [0, R] is stored; callers add the tail bound when they read it, so norms,
-verifiers, sweeps and the reproduction tables share entries.  The file
-carries only the engine version: a file from another version is discarded
-whole, and an entry that does not decode to a valid enclosure is dropped.
+verifiers, sweeps and the reproduction tables share entries.  The J values
+its even-exponent integrals evaluate, keyed by order and node array
+(quadrature._amplitude), stay in memory so that a command evaluates each
+order once at shared nodes; save() never writes them.
 
-The store also holds, in memory only, the J values its even-exponent
-integrals have evaluated, keyed by order and node array
-(quadrature._amplitude): those integrals at one radius share their starting
-nodes, so a command evaluates each order there once.  save() never writes
-them.
+The file's first line is the engine-version stamp, config_digest; each entry
+then starts a line of its own, key<TAB>[lower, upper, truncation_bound,
+quad_error_bound].  save() appends, in one write, only the entries the
+command computed, so a warm command does not touch the file, and a torn last
+line ends where the next append begins.  A file that does not start with the
+stamp is discarded whole.  A line is decoded only when read: the last line
+for a key wins, and one that does not decode is dropped and recomputed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Callable
 
@@ -42,54 +45,51 @@ def _decode(entry) -> Enclosure:
 
 
 class ResultCache:
-    """Stored truncated integrals; backed by a JSON file when path is given.
-
-    config_digest is the engine-version stamp a file must carry to be read.
-    """
+    """Stored truncated integrals; journaled to a file when path is given."""
 
     def __init__(self, path: str | None = None, config_digest: str = __version__):
         self.path = None if path is None else Path(path).expanduser()
         self.config_digest = config_digest
-        self.data: dict = {}
+        self.data: dict[str, str] = {}  # key -> undecoded value
         self.bessel: dict = {}
-        self.dirty = False
+        self.added: list[str] = []  # keys computed since the last save
+        self.journaled = False  # whether the file is a journal of this version
         if self.path is not None:
             self._load()
 
     def _load(self) -> None:
         try:
-            payload = json.loads(self.path.read_text())
+            stamp, *lines = self.path.read_text().split("\n")
         except (OSError, ValueError):
             return
-        if isinstance(payload, dict) and payload.get("config_digest") == self.config_digest:
-            entries = payload.get("entries")
-            self.data = entries if isinstance(entries, dict) else {}
+        if stamp == self.config_digest:
+            self.journaled = True
+            self.data = dict(line.split("\t", 1) for line in lines if "\t" in line)
 
     def save(self) -> None:
-        if self.path is None or not self.dirty:
+        if self.path is None or not self.added:
             return
-        try:
+        text = "".join(f"\n{key}\t{self.data[key]}" for key in self.added)
+        with suppress(OSError):
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(json.dumps({"config_digest": self.config_digest, "entries": self.data}, sort_keys=True))
-            self.dirty = False
-        except OSError:
-            pass
+            with self.path.open("ab" if self.journaled else "wb", buffering=0) as fh:
+                fh.write((text if self.journaled else self.config_digest + text).encode())
+            self.added.clear()
+            self.journaled = True
 
     def get_enclosure(self, key: str) -> Enclosure | None:
-        entry = self.data.get(key)
-        if entry is None:
-            return None
-        try:
-            return _decode(entry)
-        except ValueError:
-            del self.data[key]
-            self.dirty = True
-            return None
+        if key in self.data:
+            try:
+                return _decode(json.loads(self.data[key]))
+            except ValueError:
+                del self.data[key]
+        return None
 
     def clear(self) -> None:
         """Drop the in-memory entries and J values; the file is untouched."""
         self.data.clear()
         self.bessel.clear()
+        self.added.clear()
 
     def enclosure(
         self,
@@ -107,8 +107,8 @@ class ResultCache:
         enc = self.get_enclosure(key)
         if enc is None:
             enc = compute(d, p, k, R, cfg, kind, self.bessel)
-            self.data[key] = [enc.lower, enc.upper, enc.truncation_bound, enc.quad_error_bound]
-            self.dirty = True
+            self.data[key] = json.dumps([enc.lower, enc.upper, enc.truncation_bound, enc.quad_error_bound])
+            self.added.append(key)
         return enc
 
 

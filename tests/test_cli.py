@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import besselnorms
 import besselnorms.local as local
 import besselnorms.norms as norms
 import besselnorms.quadrature as quadrature
@@ -248,6 +249,17 @@ class TestOutsideInputs:
         assert code == 2 and captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
 
+    def test_zero_evaluation_target_exits_2_before_any_halving(self, capsys, cache_file):
+        # |A_3|^1000 r underflows to 0 at every starting node, so the target is
+        # 0 while the proven remainder is positive; the 128 starting panels on
+        # [0, 200] are refused as they are, in well under a second
+        code = main(["norm", "--d", "2", "--p", "1000", "--k", "3", "--cache", cache_file])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: integrand underflows to 0 at every node of 128 panels: remainder ")
+        assert line.endswith(" above tolerance 0")
+
     def test_sweep_certifying_nothing_fails(self, capsys, cache_file):
         code, report = run_json(capsys, "sweep", "--d", "10", "--step", "100", "--cache", cache_file)
         assert code == 1 and report["status"] == "FAIL"
@@ -452,12 +464,13 @@ class TestCache:
     def test_other_engine_version_is_never_returned(self, capsys, cache_file, monkeypatch):
         args = ("norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
         _, fresh = run_json(capsys, *args)
-        (key,) = json.loads(Path(cache_file).read_text())["entries"]
-        # a wrong value under the right key, stamped by another engine version
+        (key,) = ResultCache(cache_file).data
+        # a wrong value under the right key, in a journal stamped by another engine version
         stale = ResultCache(cache_file, "0.0.0")
-        stale.data[key] = [1.0, 1.0, 0.0, 0.0]
-        stale.dirty = True
+        stale.data[key] = "[1.0, 1.0, 0.0, 0.0]"
+        stale.added.append(key)
         stale.save()
+        assert Path(cache_file).read_text() == f"0.0.0\n{key}\t[1.0, 1.0, 0.0, 0.0]"
         norms.clear_memo_cache()
         integrals = count_calls(monkeypatch, norms, "integrate_weighted_power")
         _, again = run_json(capsys, *args)
@@ -468,7 +481,9 @@ class TestCache:
         # repr(("power", d, p, k, R, QuadConfig().key())), unchanged since 0.3.0;
         # a file is still discarded when its engine version differs
         run_json(capsys, "norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
-        (key,) = json.loads(Path(cache_file).read_text())["entries"]
+        stamp, line = Path(cache_file).read_text().split("\n")
+        key, _ = line.split("\t")
+        assert stamp == besselnorms.__version__
         assert key == "('power', 4, 4.0, 1, 40.0, (1.5707963267948966, 16, 8, 1e-11, 12))"
 
     def test_file_from_engine_0_1_0_is_discarded(self, cache_file):
@@ -484,10 +499,8 @@ class TestCache:
             "0.3.0": ("M(1)", [0.11022042732296254, 0.11022042732547645, 0.0, 1.2569572750298233e-12]),
         }
         for version, (key, entry) in stale_files.items():
-            stale = ResultCache(cache_file, version)
-            stale.data[key] = entry
-            stale.dirty = True
-            stale.save()
+            # the one-document file those versions wrote
+            Path(cache_file).write_text(json.dumps({"config_digest": version, "entries": {key: entry}}, sort_keys=True))
             assert ResultCache(cache_file).data == {}, version
 
     def test_corrupt_entry_is_dropped(self, capsys, cache_file):
@@ -495,13 +508,12 @@ class TestCache:
         _, fresh = run_json(capsys, *args)
         cache = ResultCache(cache_file)
         (key,) = cache.data
-        for bad in ([2.0, 1.0, 0.0, 0.0], [float("nan"), 1.0, 1.0, 0.0], ["0.1", 0.1, 0.0, 0.0], [1.0], "1234"):
+        for bad in ("[2.0, 1.0, 0.0, 0.0]", "[NaN, 1.0, 1.0, 0.0]", '["0.1", 0.1, 0.0, 0.0]', "[1.0]", '"1234"', "[0.1, 0.2"):
             cache.data[key] = bad
             assert cache.get_enclosure(key) is None
             assert key not in cache.data
-        cache.data[key] = [2.0, 1.0, 0.0, 0.0]
-        cache.dirty = True
-        cache.save()
+        with open(cache_file, "a") as fh:
+            fh.write(f"\n{key}\t[2.0, 1.0, 0.0, 0.0]")
         _, again = run_json(capsys, *args)
         assert again["entries"] == fresh["entries"]
 
@@ -552,6 +564,74 @@ class TestCache:
             main(list(argv))
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+class TestJournal:
+    """The --cache file: a stamp line, then one appended line per computed entry."""
+
+    ARGS = ("norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40")
+    OTHER = ("norm", "--d", "4", "--p", "4", "--k", "2", "--R", "40")
+
+    def test_warm_repeat_leaves_the_file_untouched(self, capsys, cache_file):
+        run_json(capsys, *self.ARGS, "--cache", cache_file)
+        before = Path(cache_file).read_bytes(), Path(cache_file).stat().st_mtime_ns
+        norms.clear_memo_cache()
+        run_json(capsys, *self.ARGS, "--cache", cache_file)
+        assert (Path(cache_file).read_bytes(), Path(cache_file).stat().st_mtime_ns) == before
+
+    def test_one_miss_appends_one_line(self, capsys, cache_file):
+        run_json(capsys, *self.ARGS, "--cache", cache_file)
+        before = Path(cache_file).read_text()
+        run_json(capsys, *self.OTHER, "--cache", cache_file)
+        after = Path(cache_file).read_text()
+        assert after.startswith(before)
+        added = after[len(before) :]
+        assert added.startswith("\n") and added.count("\n") == 1
+        key, _ = added[1:].split("\t")
+        assert ResultCache(cache_file).get_enclosure(key) is not None
+
+    def test_one_document_file_is_replaced_by_a_journal(self, capsys, cache_file, monkeypatch):
+        _, fresh = run_json(capsys, *self.ARGS, "--cache", cache_file)
+        (key,) = ResultCache(cache_file).data
+        # the file 0.5.0 wrote before the journal, with a wrong value under the right key
+        document = {"config_digest": besselnorms.__version__, "entries": {key: [1.0, 1.0, 0.0, 0.0]}}
+        Path(cache_file).write_text(json.dumps(document, sort_keys=True))
+        norms.clear_memo_cache()
+        integrals = count_calls(monkeypatch, norms, "integrate_weighted_power")
+        _, again = run_json(capsys, *self.ARGS, "--cache", cache_file)
+        assert len(integrals) == 1 and again["entries"] == fresh["entries"]
+        stamp, line = Path(cache_file).read_text().split("\n")
+        assert stamp == besselnorms.__version__ and line.startswith(f"{key}\t[")
+
+    def test_torn_last_line_loses_only_its_entry(self, capsys, cache_file, monkeypatch):
+        _, first = run_json(capsys, *self.ARGS, "--cache", cache_file)
+        _, second = run_json(capsys, *self.OTHER, "--cache", cache_file)
+        text = Path(cache_file).read_text()
+        torn = text[: text.rindex(", ")]
+        Path(cache_file).write_text(torn)
+        norms.clear_memo_cache()
+        integrals = count_calls(monkeypatch, norms, "integrate_weighted_power")
+        _, again_first = run_json(capsys, *self.ARGS, "--cache", cache_file)
+        assert integrals == [] and again_first["entries"] == first["entries"]
+        _, again_second = run_json(capsys, *self.OTHER, "--cache", cache_file)
+        assert len(integrals) == 1 and again_second["entries"] == second["entries"]
+        # the append starts a new line, so the torn one stays apart and the entry is served again
+        assert Path(cache_file).read_text() == torn + text[text.rindex("\n") :]
+        norms.clear_memo_cache()
+        run_json(capsys, *self.OTHER, "--cache", cache_file)
+        assert len(integrals) == 1
+
+    def test_later_line_wins_over_an_earlier_malformed_one(self, capsys, cache_file, monkeypatch):
+        _, fresh = run_json(capsys, *self.ARGS, "--cache", cache_file)
+        stamp, line = Path(cache_file).read_text().split("\n")
+        key, value = line.split("\t")
+        Path(cache_file).write_text(f"{stamp}\n{key}\t[2.0, 1.0, 0.0, 0.0]\n{key}\t{value}")
+        before = Path(cache_file).read_bytes()
+        norms.clear_memo_cache()
+        integrals = count_calls(monkeypatch, norms, "integrate_weighted_power")
+        _, again = run_json(capsys, *self.ARGS, "--cache", cache_file)
+        assert integrals == [] and again["entries"] == fresh["entries"]
+        assert Path(cache_file).read_bytes() == before
 
 
 class TestVerifyFlags:
