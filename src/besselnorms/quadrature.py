@@ -9,11 +9,12 @@ The integrand, the kink rule and the tail bound all read that table.
 
 Each integral is reported as an Enclosure: a truncated value bracketed by a
 summed per-panel error, plus a separately tracked tail contribution.  Where
-every exponent is even, the integrand is entire: the starting panels are
-equal steps no wider than a fraction of the Bessel oscillation period, each
-integrated once by Gauss-Legendre, and the error is a proven Bernstein-
-ellipse remainder (_gauss_remainder) plus a bound on the evaluation error
-(_even_integrand), which rests on the measured jv error JV_ABS_ERROR.
+every exponent is even, the integrand is entire and takes one fixed plan:
+starting panels EVEN_PANEL_LENGTH = 2 pi wide (one Bessel oscillation
+period), each integrated once by EVEN_GAUSS_ORDER = 32-point Gauss-Legendre,
+and the error is a proven Bernstein-ellipse remainder (_gauss_remainder)
+plus a bound on the evaluation error (_even_integrand), which rests on the
+measured jv error JV_ABS_ERROR.
 Where one exponent is not even, the integrand behaves like |r - z|^e at each
 zero z of that factor's J_nu (exponent 2 is smooth, so at most one factor
 kinks), so the starting panels run from zero to zero and a panel end at a
@@ -58,6 +59,18 @@ _U = 2.0**-53
 _RHOS = 2.0 ** (np.arange(1, 13) / 2.0)
 _SEMI_MAJOR = 0.5 * (_RHOS + 1.0 / _RHOS)
 _SEMI_MINOR = 0.5 * (_RHOS - 1.0 / _RHOS)
+
+
+# The even-exponent plan: starting panels 2 pi wide, each taking 32-point
+# Gauss-Legendre; a panel whose proven remainder exceeds its share is still
+# halved.  Against pi/2 panels with G16 it takes a perfbench paper-session
+# pass at seed 1 from 158,921 jv points to 99,145 (12 of its 97 even
+# integrals halve once), and local-maximizer from 188,742 to 154,950 (none
+# of its 34 halves).  4 pi with G48 halves every d = 2, p = 6 power integral
+# with k >= 3, and past 2 pi the saving flattens (8 pi with G80: 79,113
+# paper-session points).
+EVEN_PANEL_LENGTH = 2.0 * math.pi
+EVEN_GAUSS_ORDER = 32
 
 
 class QuadratureError(RuntimeError):
@@ -397,42 +410,48 @@ def panel_integrate(
     """Integrate f on [a, b]; returns (value, error).
 
     Without zeros inside (a, b), the starting edges are equal steps no wider
-    than cfg.panel_length and every panel takes Gauss-Legendre.  With them,
-    f is taken to behave like |r - z|^alpha times an analytic factor at each
-    zero z: the starting panels run from zero to zero (plus a and b), and a
-    panel end at a zero takes the Gauss-Jacobi weight (1 + x)^alpha or
-    (1 - x)^alpha, so the rule integrates f divided by that weight.  A halved
-    panel hands each end's exponent to the child that keeps that end, with 0
-    at the new midpoint.
+    than cfg.panel_length, or EVEN_PANEL_LENGTH with remainder, and every
+    panel takes Gauss-Legendre.  With them, f is taken to behave like
+    |r - z|^alpha times an analytic factor at each zero z: the starting
+    panels run from zero to zero (plus a and b), and a panel end at a zero
+    takes the Gauss-Jacobi weight (1 + x)^alpha or (1 - x)^alpha, so the
+    rule integrates f divided by that weight.  A halved panel hands each
+    end's exponent to the child that keeps that end, with 0 at the new
+    midpoint.
 
     Without remainder, the per-panel error is the estimate |high-order -
-    low-order|, and the target is cfg.abs_tol.  With it, f returns (values,
-    deviations), the latter bounding each node's evaluation error, and only
-    the high-order nodes are evaluated: a panel's error is the proven
-    remainder(mid, half) plus its evaluation term, the weighted deviations
-    plus (n + 4) u times its value for the weights and the sum.  The target
-    is then the summed evaluation term, and the returned error adds
-    (number of panels) u times the value for the sum over panels.  Panels
-    whose remainder or estimate exceeds their share of the target are
-    halved, up to cfg.max_refinements rounds; a zero target, where the
-    integrand underflows at every node, raises at once.  Each panel is
-    evaluated once, in the round that creates it: a round calls f on the new
-    children only.  Panels stay sorted by start, so results are run-to-run
-    identical.
+    low-order| of cfg's two orders, and the target is cfg.abs_tol.  With it,
+    f returns (values, deviations), the latter bounding each node's
+    evaluation error, and only the nodes of the even plan's one rule, n =
+    EVEN_GAUSS_ORDER points, are evaluated: a panel's error is the proven
+    remainder(mid, half), which must be the bound for that n, plus its
+    evaluation term, the weighted deviations plus (n + 4) u times its value
+    for the weights and the sum.  The target is then the summed evaluation
+    term, and the returned error adds (number of panels) u times the value
+    for the sum over panels.  Panels whose remainder or estimate exceeds
+    their share of the target are halved, up to cfg.max_refinements rounds;
+    a zero target, where the integrand underflows at every node, raises at
+    once.  Each panel is evaluated once, in the round that creates it: a
+    round calls f on the new children only.  Panels stay sorted by start, so
+    results are run-to-run identical.
     """
     if b <= a:
         raise ValueError(f"empty interval [{a}, {b}]")
     zeros = np.asarray(zeros, dtype=float)
     zeros = np.unique(zeros[(zeros > a) & (zeros < b)])
+    if remainder is None:
+        step, n = cfg.panel_length, cfg.gauss_order_high
+        xl, wl = _panel_rules(cfg.gauss_order_low, alpha)
+    else:
+        step, n = EVEN_PANEL_LENGTH, EVEN_GAUSS_ORDER
+    xh, wh = _panel_rules(n, alpha)
     if zeros.size:
         edges = np.concatenate([[a], zeros, [b]])
         codes = np.full(zeros.size + 1, 3)
         codes[0], codes[-1] = 1, 2
     else:
-        edges = np.linspace(a, b, max(1, math.ceil((b - a) / cfg.panel_length)) + 1)
+        edges = np.linspace(a, b, max(1, math.ceil((b - a) / step)) + 1)
         codes = np.zeros(edges.size - 1, dtype=int)
-    xh, wh = _panel_rules(cfg.gauss_order_high, alpha)
-    xl, wl = _panel_rules(cfg.gauss_order_low, alpha)
 
     def evaluate(panels: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per panel: the high-order value, the error that decides halving,
@@ -442,7 +461,7 @@ def panel_integrate(
         if remainder is not None:
             values, deviations = f(mid[:, None] + half[:, None] * xh[codes])
             hi = (values * wh[codes]).sum(axis=1) * half
-            rounding = (deviations * wh[codes]).sum(axis=1) * half + (cfg.gauss_order_high + 4) * _U * hi
+            rounding = (deviations * wh[codes]).sum(axis=1) * half + (n + 4) * _U * hi
             return hi, remainder(mid, half), rounding
         hi = (f(mid[:, None] + half[:, None] * xh[codes]) * wh[codes]).sum(axis=1) * half
         lo = (f(mid[:, None] + half[:, None] * xl[codes]) * wl[codes]).sum(axis=1) * half
@@ -507,9 +526,12 @@ def integrate_weighted_power(
 
     Unless every exponent is even, the panels run between the zeros of the
     one factor whose exponent is not, with that end exponent there, and the
-    error is the |G_high - G_low| estimate.  With every exponent even, the
-    error is _gauss_remainder plus the evaluation term of _even_integrand,
-    and J values come from memo (see _amplitude), a fresh one when None.
+    error is the |G_high - G_low| estimate of cfg's orders.  With every
+    exponent even, the plan ignores cfg's panel length and orders: panels
+    EVEN_PANEL_LENGTH wide take EVEN_GAUSS_ORDER-point Gauss-Legendre, the
+    error is _gauss_remainder for that order plus the evaluation term of
+    _even_integrand, and J values come from memo (see _amplitude), a fresh
+    one when None.
     Kinked integrals do not share: their nodes follow the zeros and the
     halving of each integral, so a memo would only hold arrays.
     """
@@ -523,7 +545,7 @@ def integrate_weighted_power(
         value, err = panel_integrate(_integrand(d, factors), 0.0, R, cfg, zeros, alpha)
     else:
         memo = {} if memo is None else memo
-        remainder = functools.partial(_gauss_remainder, d, factors, cfg.gauss_order_high)
+        remainder = functools.partial(_gauss_remainder, d, factors, EVEN_GAUSS_ORDER)
         value, err = panel_integrate(_even_integrand(d, factors, memo), 0.0, R, cfg, remainder=remainder)
     return Enclosure(max(value - err, 0.0), value + err, quad_error_bound=err)
 

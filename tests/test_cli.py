@@ -251,13 +251,13 @@ class TestOutsideInputs:
 
     def test_zero_evaluation_target_exits_2_before_any_halving(self, capsys, cache_file):
         # |A_3|^1000 r underflows to 0 at every starting node, so the target is
-        # 0 while the proven remainder is positive; the 128 starting panels on
-        # [0, 200] are refused as they are, in well under a second
+        # 0 while the proven remainder is positive; the 32 starting panels of
+        # 2 pi on [0, 200] are refused as they are, in well under a second
         code = main(["norm", "--d", "2", "--p", "1000", "--k", "3", "--cache", cache_file])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith("error: integrand underflows to 0 at every node of 128 panels: remainder ")
+        assert line.startswith("error: integrand underflows to 0 at every node of 32 panels: remainder ")
         assert line.endswith(" above tolerance 0")
 
     def test_sweep_certifying_nothing_fails(self, capsys, cache_file):

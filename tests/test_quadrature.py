@@ -14,6 +14,8 @@ from besselnorms.local import verify_holder_chain, verify_second_order_positivit
 from besselnorms.norms import clear_memo_cache, stein_tomas_exponent
 from besselnorms.quadrature import (
     DEFAULT_QUAD_CONFIG,
+    EVEN_GAUSS_ORDER,
+    EVEN_PANEL_LENGTH,
     Enclosure,
     QuadConfig,
     QuadratureError,
@@ -101,13 +103,15 @@ JACOBI_EXPONENTS = sorted(
 )
 
 # even exponents add no panel edges; the enclosures on [0, 200] of the proven
-# remainder plus evaluation term, and the (lower, upper) of the |G16 - G8|
-# estimate they replaced, which must hold the new midpoints
+# remainder plus evaluation term on the even plan's 2 pi panels with G32
+# (each midpoint inside the enclosure of pi/2 panels with G16 it replaced),
+# and the (lower, upper) of the |G16 - G8| estimate before either, which must
+# hold the midpoints
 EVEN_P_ENCLOSURES = {
-    (3, 4.0, 1): "Enclosure(lower=0.14778281042098604, upper=0.14778281042270416, "
-    "truncation_bound=0.0, quad_error_bound=8.590750440028999e-13)",
-    (2, 6.0, 0): "Enclosure(lower=0.33642538345468787, upper=0.3364253834594675, "
-    "truncation_bound=0.0, quad_error_bound=2.3898207943773473e-12)",
+    (3, 4.0, 1): "Enclosure(lower=0.1477828104209837, upper=0.14778281042270633, "
+    "truncation_bound=0.0, quad_error_bound=8.613166310743915e-13)",
+    (2, 6.0, 0): "Enclosure(lower=0.336425383454684, upper=0.33642538345947104, "
+    "truncation_bound=0.0, quad_error_bound=2.3935189937227306e-12)",
 }
 EVEN_P_ESTIMATE_ENCLOSURES = {
     (3, 4.0, 1): (0.1477828104211968, 0.14778281042249342),
@@ -622,9 +626,10 @@ class TestNodeCounts:
         assert sum(c.size for c in calls) == 24 * len(panels)
 
     def _refinements(self, integrand_calls):
-        """Rounds after the first: one high-order call per round on either path."""
-        n = DEFAULT_QUAD_CONFIG.gauss_order_high
-        return [sum(c.shape[-1] == n for c in calls) - 1 for calls in integrand_calls]
+        """Rounds after the first: one high-order call per round on either
+        path, G16 between zeros and the even plan's order elsewhere."""
+        high = (DEFAULT_QUAD_CONFIG.gauss_order_high, EVEN_GAUSS_ORDER)
+        return [sum(c.shape[-1] in high for c in calls) - 1 for calls in integrand_calls]
 
     def test_local_maximizer_integrals_stay_clear_of_the_cap(self, integrand_calls):
         for d, p in LOCAL_MAXIMIZER_PAIRS:
@@ -728,9 +733,16 @@ EXTREME_EVEN_MPMATH = {
 }
 
 
+# The same for a paper-session query, norm --d 10 --p 6 --k 6 --R 50:
+#   quad(lambda r: (besselj(10, r) * r**-4)**6 * r**9, linspace(0, 50, 1001), method="gauss-legendre")
+# (0.025 wide agrees to 25 digits)
+ORDINARY_HALVED_MPMATH = 2.6698669047116555409e-19
+
+
 class TestExtremeEvenExponents:
-    """The only inputs that halve panels on the even path: the remainder
-    shrinks with the panel, the evaluation term does not."""
+    """Inputs whose remainder on the even plan's starting panels exceeds the
+    evaluation term: the remainder shrinks with the panel, the evaluation
+    term does not."""
 
     @pytest.mark.parametrize("p, k", sorted(EXTREME_EVEN_MPMATH))
     def test_enclosure_holds_mpmath_value(self, integrand_calls, p, k):
@@ -740,7 +752,14 @@ class TestExtremeEvenExponents:
         assert enc.width <= 1e-9 * enc.midpoint
         (calls,) = integrand_calls
         assert 1 < len(calls) <= DEFAULT_QUAD_CONFIG.max_refinements + 1
-        assert all(c.shape[-1] == DEFAULT_QUAD_CONFIG.gauss_order_high for c in calls)
+        assert all(c.shape[-1] == EVEN_GAUSS_ORDER for c in calls)
+
+    def test_ordinary_query_halves_and_holds_mpmath_value(self, integrand_calls):
+        enc = integrate_weighted_power(10, 6.0, 6, 50.0)
+        assert enc.lower <= ORDINARY_HALVED_MPMATH <= enc.upper
+        (calls,) = integrand_calls
+        assert 1 < len(calls) <= DEFAULT_QUAD_CONFIG.max_refinements + 1
+        assert all(c.shape[-1] == EVEN_GAUSS_ORDER for c in calls)
 
     @pytest.mark.parametrize("p, k", sorted(EXTREME_EVEN_MPMATH))
     def test_norm_command_exits_0(self, capsys, p, k):
@@ -782,6 +801,22 @@ class TestEvenPath:
             assert calls == 1
             assert remainder < err - remainder
 
+    def test_plan_constants_set_every_order_on_the_even_path(self, monkeypatch, integrand_calls):
+        # another plan reaches the starting panels, the nodes and the
+        # remainder's n alike, so no order is read from anywhere else
+        planned = integrate_weighted_power(3, 4.0, 1, 40.0)
+        orders = []
+        real = quadrature._gauss_remainder
+        monkeypatch.setattr(quadrature, "_gauss_remainder", lambda d, factors, n, *a: orders.append(n) or real(d, factors, n, *a))
+        monkeypatch.setattr(quadrature, "EVEN_PANEL_LENGTH", math.pi)
+        monkeypatch.setattr(quadrature, "EVEN_GAUSS_ORDER", 20)
+        clear_memo_cache()
+        enc = integrate_weighted_power(3, 4.0, 1, 40.0)
+        _, calls = integrand_calls
+        assert calls[0].shape == (math.ceil(40.0 / math.pi), 20)
+        assert all(c.shape[-1] == 20 for c in calls) and set(orders) == {20}
+        assert enc.lower <= planned.midpoint <= enc.upper
+
     def test_one_command_evaluates_each_order_once_at_shared_nodes(self, monkeypatch, tmp_path):
         # at (2, 6) the degree-0 check, M(3) and the norms share the nodes on
         # [0, 200]: every order is evaluated there once, degree 0 included
@@ -793,7 +828,7 @@ class TestEvenPath:
         cache = store.ResultCache(str(tmp_path / "c.json"))
         with store.using(cache):
             verify_holder_chain(2, 6.0, 3)
-        nodes = math.ceil(200.0 / DEFAULT_QUAD_CONFIG.panel_length) * DEFAULT_QUAD_CONFIG.gauss_order_high
+        nodes = math.ceil(200.0 / EVEN_PANEL_LENGTH) * EVEN_GAUSS_ORDER
         orders = [order for order, _ in evaluated]
         assert {0, 6} <= set(orders) and len(set(orders)) == len(orders)
         assert all(size == nodes for _, size in evaluated)
