@@ -2,7 +2,7 @@
 exponent-threshold sweeps, and second-order local-maximality checks."""
 
 # defined before the submodules load: the result store stamps its files with it
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .norms import (
     INFINITY,

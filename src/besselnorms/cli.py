@@ -1,10 +1,11 @@
 """Command-line front end: norm computations, hierarchy verifications,
 exponent sweeps and reproduction tables.  Each command keeps its integrals
 in an in-process result store; --cache PATH journals the store to a file
-(see store): an engine-version stamp line, then one line per entry, last
-line winning, a torn last line losing only its entry.  A command appends
-only the integrals it computed, so a warm command leaves the file as it
-was; without --cache no file is read or written.
+(see store): a stamp line naming the engine version and the quadrature
+plan, then one line per entry, last line winning, a torn last line losing
+only its entry; a file under another stamp is discarded whole.  A command
+appends only the integrals it computed, so a warm command leaves the file
+as it was; without --cache no file is read or written.
 
 Exit codes: 0 when the report's status is PASS, 1 when it is FAIL (any
 FAIL or INCONCLUSIVE entry, a sweep that certifies no threshold included),

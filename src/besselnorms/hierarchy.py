@@ -11,7 +11,18 @@ and a claim's status is the worst of its verdicts.
 
 from __future__ import annotations
 
-from .norms import Claim, NormKey, Status, best_k, lambda4_zero, lambda_power, lambda_sup, stein_tomas_exponent
+from .norms import (
+    P4_ANCHOR_RADIUS,
+    PST_ANCHOR_RADIUS,
+    Claim,
+    NormKey,
+    Status,
+    best_k,
+    lambda4_zero,
+    lambda_power,
+    lambda_sup,
+    stein_tomas_exponent,
+)
 from .quadrature import Enclosure
 
 __all__ = [
@@ -37,7 +48,7 @@ def verify_sup_monotone(d: int, K: int) -> Claim:
     values = lambda_sup(d, range(K + 1))
     claim.fields["witnesses"] += [(f"sup norm (d={d}, k={k})", nv) for k, nv in enumerate(values)]
     for k in range(1, K + 1):
-        claim.separate(f"degree {k} vs degree {k - 1}", values[k].enclosure.upper, values[k - 1].enclosure.lower)
+        claim.separate(f"degree {k} vs degree {k - 1}", values[k].enclosure, values[k - 1].enclosure)
     if claim.status is Status.PASS:
         claim.notes.append(f"first gap {values[0].enclosure.lower - values[1].enclosure.upper}")
     if d > 10:
@@ -68,12 +79,12 @@ def verify_p4(d: int) -> Claim:
     if not 3 <= d <= 10:
         raise ValueError(f"need 3 <= d <= 10, got {d}")
     claim = verify_claim("P4_HIERARCHY", {"d": d, "p": 4.0})
-    power1 = _degree_one_dominates(claim, 40.0, "4", "fourth power")
+    power1 = _degree_one_dominates(claim, P4_ANCHOR_RADIUS, "4", "fourth power")
 
     # (d) degree one below degree zero (closed form)
     zero4 = lambda4_zero(d) ** 4
     claim.fields["witnesses"].append(("degree-0 fourth power (closed form)", zero4))
-    claim.separate("degree 1 vs degree 0", power1.upper, zero4)
+    claim.separate("degree 1 vs degree 0", power1, Enclosure.point(zero4))
     return claim
 
 
@@ -83,10 +94,10 @@ def verify_pst(d: int) -> Claim:
         raise ValueError(f"need 4 <= d <= 10, got {d}")
     p = stein_tomas_exponent(d)
     claim = verify_claim("PST_HIERARCHY", {"d": d, "p": p})
-    power1 = _degree_one_dominates(claim, 50.0, "p_st", "power")
+    power1 = _degree_one_dominates(claim, PST_ANCHOR_RADIUS, "p_st", "power")
 
-    # (d) degree one below degree zero; both estimated from [0, 50]
-    power0 = lambda_power(NormKey(d, p, 0), R=50.0)
-    claim.fields["witnesses"].append(("degree-0 power on [0,50] + tail", power0))
-    claim.separate("degree 1 vs degree 0", power1.upper, power0.lower)
+    # (d) degree one below degree zero; both estimated from [0, PST_ANCHOR_RADIUS]
+    power0 = lambda_power(NormKey(d, p, 0), R=PST_ANCHOR_RADIUS)
+    claim.fields["witnesses"].append((f"degree-0 power on [0,{PST_ANCHOR_RADIUS:g}] + tail", power0))
+    claim.separate("degree 1 vs degree 0", power1, power0)
     return claim

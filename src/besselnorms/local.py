@@ -45,9 +45,10 @@ def cross_norm(
 ) -> Enclosure:
     """Enclosure of the cross integral M(k): truncated part plus tail bound.
 
-    The checks here never vary cfg; it stays a parameter because the
-    benchmark tracer (perfbench/tracing.py) reads it by name to tell cross
-    integrals apart.
+    cfg holds only the refinement cap, which no check here varies and the
+    result store leaves out of its keys (quadrature.QuadConfig); it stays a
+    parameter because the benchmark tracer (perfbench/tracing.py) reads
+    cfg.key() by name to tell cross integrals apart.
     """
     return radial_integral("cross", d, p, k, R, cfg)
 
@@ -114,8 +115,8 @@ def verify_holder_chain(d: int, p: float, k: int, R: float | None = None) -> Cla
         ("Holder product L0^(p-2) Lk^2", product),
         ("degree-0 power L0^p", lam0p),
     ]
-    claim.separate("M(k) vs L0^(p-2) Lk^2", m.upper, product.lower)
-    claim.separate("L0^(p-2) Lk^2 vs L0^p", product.upper, lam0p.lower)
+    claim.separate("M(k) vs L0^(p-2) Lk^2", m, product)
+    claim.separate("L0^(p-2) Lk^2 vs L0^p", product, lam0p)
     return claim
 
 
@@ -140,5 +141,5 @@ def verify_second_order_positivity(d: int, p: float, K: int, R: float | None = N
     for k in range(1, K + 1):
         coeffs = deficit_coefficients(d, p, k, R)
         claim.fields["witnesses"].append((f"coefficients at k={k}", coeffs))
-        claim.separate(f"M({k}) vs L0^p", coeffs.cross_norm.upper, coeffs.lambda0_p.lower)
+        claim.separate(f"M({k}) vs L0^p", coeffs.cross_norm, coeffs.lambda0_p)
     return claim

@@ -50,11 +50,20 @@ __all__ = [
     "validity_strip",
     "stein_tomas_exponent",
     "best_k",
+    "P4_ANCHOR_RADIUS",
+    "PST_ANCHOR_RADIUS",
     "default_radius",
     "clear_memo_cache",
 ]
 
 INFINITY = math.inf
+
+# The radii of the two degree-one anchors, each read as one stored entry by a
+# verifier and a sweep: the fourth power on [0, P4_ANCHOR_RADIUS] by verify p4
+# and the step-1 sweep, the p_st power on [0, PST_ANCHOR_RADIUS] by verify
+# pst and the step-2 sweep.
+P4_ANCHOR_RADIUS = 40.0
+PST_ANCHOR_RADIUS = 50.0
 
 
 class Method(str, Enum):
@@ -104,14 +113,17 @@ class Claim:
     upper: float | None = None
     fields: dict = field(default_factory=dict)
 
-    def separate(self, what: str, smaller: float, larger: float) -> Status:
-        """The one verdict rule: PASS when smaller is strictly below larger,
-        FAIL when the order is strictly reversed, INCONCLUSIVE otherwise; a
-        note when not PASS.  The verdict is folded into the status."""
-        if strictly_below(smaller, larger):
+    def separate(self, what: str, smaller: Enclosure, larger: Enclosure) -> Status:
+        """The one verdict rule between two enclosures (a closed form is
+        Enclosure.point): PASS when smaller's upper end is strictly below
+        larger's lower end; FAIL, a refutation, only when larger's upper end
+        is strictly below smaller's lower end; INCONCLUSIVE when they
+        overlap.  A note when not PASS.  The verdict is folded into the
+        status."""
+        if strictly_below(smaller.upper, larger.lower):
             return Status.PASS
-        self.notes.append(f"{what}: {smaller} not strictly below {larger}")
-        verdict = Status.FAIL if strictly_below(larger, smaller) else Status.INCONCLUSIVE
+        self.notes.append(f"{what}: {smaller.upper} not strictly below {larger.lower}")
+        verdict = Status.FAIL if strictly_below(larger.upper, smaller.lower) else Status.INCONCLUSIVE
         self.status = worst(self.status, verdict)
         return verdict
 
@@ -328,7 +340,8 @@ def best_k(claim: Claim, d: int, p: float, top: int, R_top: float | None = None,
        so this settles every k >= k_dom at once.  A degree below k_dom whose
        order exceeds MAX_TWICE_NU cannot be enclosed: SpecfunDomainError.
     3. Enclose each degree strictly between on [0, R] plus tail and separate
-       its upper end from the bar, each verdict folded into claim.
+       it from degree `top`'s enclosure: PASS when its upper end is below
+       the bar, each verdict folded into claim.
     """
     lo_strip, hi_strip = validity_strip(d)
     if not lo_strip < p < hi_strip:
@@ -347,5 +360,5 @@ def best_k(claim: Claim, d: int, p: float, top: int, R_top: float | None = None,
     for k in range(top + 1, k_dom):
         power = lambda_power(NormKey(d, p, k), R)
         result.explicit.append((k, power))
-        claim.separate(f"degree {k} vs degree {top}", power.upper, bar)
+        claim.separate(f"degree {k} vs degree {top}", power, top_power)
     return result

@@ -20,11 +20,14 @@ zero z of that factor's J_nu (exponent 2 is smooth, so at most one factor
 kinks), so the starting panels run from zero to zero and a panel end at a
 zero carries the Gauss-Jacobi weight (1 -+ x)^e: the rule then takes that
 endpoint behaviour exactly and integrates an analytic factor.  There the
-error stays an estimate, |high-order - low-order|, not a proven bound.  On
-either path panels are halved where the error is large, and each panel is
-evaluated once.  Even-exponent integrals given one J-value memo share
-their J values at a common node array, so those of one command at one
-radius evaluate each order there once.
+error stays an estimate, |high-order - low-order| of the kinked plan's
+KINKED_GAUSS_ORDER_HIGH = 16 and KINKED_GAUSS_ORDER_LOW = 8 points against
+KINKED_ABS_TOL, not a proven bound.  Each path's plan is its module
+constants; QuadConfig holds only the refinement cap.  On either path panels
+are halved where the error is large, and each panel is evaluated once.
+Even-exponent integrals given one J-value memo share their J values at a
+common node array, so those of one command at one radius evaluate each
+order there once.
 """
 
 from __future__ import annotations
@@ -71,6 +74,25 @@ _SEMI_MINOR = 0.5 * (_RHOS - 1.0 / _RHOS)
 # paper-session points).
 EVEN_PANEL_LENGTH = 2.0 * math.pi
 EVEN_GAUSS_ORDER = 32
+
+# The kinked plan, for an integral with an exponent that is not even (and
+# for panel_integrate without remainder): starting panels from zero to zero,
+# or pi/2 wide where (a, b) holds no zero, each taking Gauss-Legendre or
+# Gauss-Jacobi of both orders; a panel whose estimate |high - low| exceeds
+# its share of KINKED_ABS_TOL is halved.
+KINKED_PANEL_LENGTH = math.pi / 2.0
+KINKED_GAUSS_ORDER_HIGH = 16
+KINKED_GAUSS_ORDER_LOW = 8
+KINKED_ABS_TOL = 1e-11
+
+
+def plan() -> tuple:
+    """Every plan constant of both paths, as they stand when called; the
+    result store stamps its files with it."""
+    return (
+        EVEN_PANEL_LENGTH, EVEN_GAUSS_ORDER,
+        KINKED_PANEL_LENGTH, KINKED_GAUSS_ORDER_HIGH, KINKED_GAUSS_ORDER_LOW, KINKED_ABS_TOL,
+    )
 
 
 class QuadratureError(RuntimeError):
@@ -130,26 +152,21 @@ class Enclosure:
 
 @dataclass(frozen=True)
 class QuadConfig:
-    panel_length: float = math.pi / 2.0
-    gauss_order_high: int = 16
-    gauss_order_low: int = 8
-    abs_tol: float = 1e-11
+    """The refinement cap of panel_integrate, the one setting either plan
+    leaves open; the plans themselves are the module constants above.
+
+    It decides only when an integral raises QuadratureError, never its
+    value, so the result store leaves it out of its keys.  The class
+    survives because the benchmark tracer (perfbench/tracing.py) binds
+    panel_integrate's cfg by name to read max_refinements, and keys cross
+    integrals by local.cross_norm's cfg.key(); it goes with the next change
+    to the benchmark (ROADMAP item 1).
+    """
+
     max_refinements: int = 12
 
-    def __post_init__(self):
-        if self.panel_length <= 0:
-            raise ValueError("panel_length must be positive")
-        if not self.gauss_order_high > self.gauss_order_low >= 2:
-            raise ValueError("need gauss_order_high > gauss_order_low >= 2")
-
     def key(self) -> tuple:
-        return (
-            self.panel_length,
-            self.gauss_order_high,
-            self.gauss_order_low,
-            self.abs_tol,
-            self.max_refinements,
-        )
+        return (self.max_refinements,)
 
 
 DEFAULT_QUAD_CONFIG = QuadConfig()
@@ -410,7 +427,7 @@ def panel_integrate(
     """Integrate f on [a, b]; returns (value, error).
 
     Without zeros inside (a, b), the starting edges are equal steps no wider
-    than cfg.panel_length, or EVEN_PANEL_LENGTH with remainder, and every
+    than KINKED_PANEL_LENGTH, or EVEN_PANEL_LENGTH with remainder, and every
     panel takes Gauss-Legendre.  With them, f is taken to behave like
     |r - z|^alpha times an analytic factor at each zero z: the starting
     panels run from zero to zero (plus a and b), and a panel end at a zero
@@ -420,28 +437,28 @@ def panel_integrate(
     midpoint.
 
     Without remainder, the per-panel error is the estimate |high-order -
-    low-order| of cfg's two orders, and the target is cfg.abs_tol.  With it,
-    f returns (values, deviations), the latter bounding each node's
-    evaluation error, and only the nodes of the even plan's one rule, n =
-    EVEN_GAUSS_ORDER points, are evaluated: a panel's error is the proven
-    remainder(mid, half), which must be the bound for that n, plus its
-    evaluation term, the weighted deviations plus (n + 4) u times its value
-    for the weights and the sum.  The target is then the summed evaluation
-    term, and the returned error adds (number of panels) u times the value
-    for the sum over panels.  Panels whose remainder or estimate exceeds
-    their share of the target are halved, up to cfg.max_refinements rounds;
-    a zero target, where the integrand underflows at every node, raises at
-    once.  Each panel is evaluated once, in the round that creates it: a
-    round calls f on the new children only.  Panels stay sorted by start, so
-    results are run-to-run identical.
+    low-order| of KINKED_GAUSS_ORDER_HIGH and KINKED_GAUSS_ORDER_LOW, and the
+    target is KINKED_ABS_TOL.  With it, f returns (values, deviations), the
+    latter bounding each node's evaluation error, and only the nodes of the
+    even plan's one rule, n = EVEN_GAUSS_ORDER points, are evaluated: a
+    panel's error is the proven remainder(mid, half), which must be the
+    bound for that n, plus its evaluation term, the weighted deviations plus
+    (n + 4) u times its value for the weights and the sum.  The target is
+    then the summed evaluation term, and the returned error adds (number of
+    panels) u times the value for the sum over panels.  Panels whose
+    remainder or estimate exceeds their share of the target are halved, up
+    to cfg.max_refinements rounds; a zero target, where the integrand
+    underflows at every node, raises at once.  Each panel is evaluated once,
+    in the round that creates it: a round calls f on the new children only.
+    Panels stay sorted by start, so results are run-to-run identical.
     """
     if b <= a:
         raise ValueError(f"empty interval [{a}, {b}]")
     zeros = np.asarray(zeros, dtype=float)
     zeros = np.unique(zeros[(zeros > a) & (zeros < b)])
     if remainder is None:
-        step, n = cfg.panel_length, cfg.gauss_order_high
-        xl, wl = _panel_rules(cfg.gauss_order_low, alpha)
+        step, n = KINKED_PANEL_LENGTH, KINKED_GAUSS_ORDER_HIGH
+        xl, wl = _panel_rules(KINKED_GAUSS_ORDER_LOW, alpha)
     else:
         step, n = EVEN_PANEL_LENGTH, EVEN_GAUSS_ORDER
     xh, wh = _panel_rules(n, alpha)
@@ -468,7 +485,7 @@ def panel_integrate(
         return hi, np.abs(hi - lo), np.zeros_like(hi)
 
     def target(rounding: np.ndarray) -> float:
-        return cfg.abs_tol if remainder is None else float(rounding.sum())
+        return KINKED_ABS_TOL if remainder is None else float(rounding.sum())
 
     panels = np.column_stack([edges[:-1], edges[1:]])
     hi, err, rounding = evaluate(panels, codes)
@@ -526,12 +543,11 @@ def integrate_weighted_power(
 
     Unless every exponent is even, the panels run between the zeros of the
     one factor whose exponent is not, with that end exponent there, and the
-    error is the |G_high - G_low| estimate of cfg's orders.  With every
-    exponent even, the plan ignores cfg's panel length and orders: panels
-    EVEN_PANEL_LENGTH wide take EVEN_GAUSS_ORDER-point Gauss-Legendre, the
-    error is _gauss_remainder for that order plus the evaluation term of
-    _even_integrand, and J values come from memo (see _amplitude), a fresh
-    one when None.
+    error is the |G_high - G_low| estimate of the kinked plan's orders.
+    With every exponent even, panels EVEN_PANEL_LENGTH wide take
+    EVEN_GAUSS_ORDER-point Gauss-Legendre, the error is _gauss_remainder for
+    that order plus the evaluation term of _even_integrand, and J values
+    come from memo (see _amplitude), a fresh one when None.
     Kinked integrals do not share: their nodes follow the zeros and the
     halving of each integral, so a memo would only hold arrays.
     """

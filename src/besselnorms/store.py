@@ -1,21 +1,24 @@
 """The one result store: truncated integrals, held in memory and, when a
 CLI run names a file with --cache, journaled to that file.
 
-An entry is keyed by its full identity: kind ("power" or "cross"), d, p, k,
-the resolved radius R and QuadConfig.key().  Only the truncated integral on
-[0, R] is stored; callers add the tail bound when they read it, so norms,
-verifiers, sweeps and the reproduction tables share entries.  The J values
-its even-exponent integrals evaluate, keyed by order and node array
-(quadrature._amplitude), stay in memory so that a command evaluates each
-order once at shared nodes; save() never writes them.
+An entry is keyed by kind ("power" or "cross"), d, p, k and the resolved
+radius R; the plan that computed it is named once per file, in the stamp.
+Only the truncated integral on [0, R] is stored; callers add the tail bound
+when they read it, so norms, verifiers, sweeps and the reproduction tables
+share entries.  The J values its even-exponent integrals evaluate, keyed by
+order and node array (quadrature._amplitude), stay in memory so that a
+command evaluates each order once at shared nodes; save() never writes them.
 
-The file's first line is the engine-version stamp, config_digest; each entry
-then starts a line of its own, key<TAB>[lower, upper, truncation_bound,
+The file's first line is the stamp, config_digest: the engine version and
+quadrature.plan(), the tuple of every plan constant.  Each entry then starts
+a line of its own, key<TAB>[lower, upper, truncation_bound,
 quad_error_bound].  save() appends, in one write, only the entries the
 command computed, so a warm command does not touch the file, and a torn last
 line ends where the next append begins.  A file that does not start with the
-stamp is discarded whole.  A line is decoded only when read: the last line
-for a key wins, and one that does not decode is dropped and recomputed.
+stamp is discarded whole, so a journal written under another plan is never
+read, whether or not the version moved.  A line is decoded only when read:
+the last line for a key wins, and one that does not decode is dropped and
+recomputed.
 """
 
 from __future__ import annotations
@@ -27,13 +30,19 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig
+from .quadrature import DEFAULT_QUAD_CONFIG, Enclosure, QuadConfig, plan
 
-__all__ = ["ResultCache", "current", "using"]
+__all__ = ["ResultCache", "current", "using", "stamp"]
 
 
-def _entry_key(kind: str, d: int, p: float, k: int, R: float, cfg: QuadConfig) -> str:
-    return repr((kind, int(d), float(p), int(k), float(R), cfg.key()))
+def stamp() -> str:
+    """The first line of a journal: the engine version and every plan
+    constant as they stand now."""
+    return f"{__version__} {plan()!r}"
+
+
+def _entry_key(kind: str, d: int, p: float, k: int, R: float) -> str:
+    return repr((kind, int(d), float(p), int(k), float(R)))
 
 
 def _decode(entry) -> Enclosure:
@@ -47,13 +56,13 @@ def _decode(entry) -> Enclosure:
 class ResultCache:
     """Stored truncated integrals; journaled to a file when path is given."""
 
-    def __init__(self, path: str | None = None, config_digest: str = __version__):
+    def __init__(self, path: str | None = None, config_digest: str | None = None):
         self.path = None if path is None else Path(path).expanduser()
-        self.config_digest = config_digest
+        self.config_digest = stamp() if config_digest is None else config_digest
         self.data: dict[str, str] = {}  # key -> undecoded value
         self.bessel: dict = {}
         self.added: list[str] = []  # keys computed since the last save
-        self.journaled = False  # whether the file is a journal of this version
+        self.journaled = False  # whether the file is a journal with this stamp
         if self.path is not None:
             self._load()
 
@@ -102,8 +111,14 @@ class ResultCache:
         cfg: QuadConfig = DEFAULT_QUAD_CONFIG,
     ) -> Enclosure:
         """The stored truncated integral; compute(d, p, k, R, cfg, kind,
-        self.bessel) on a miss, so that it shares this store's J values."""
-        key = _entry_key(kind, d, p, k, R, cfg)
+        self.bessel) on a miss, so that it shares this store's J values.
+
+        cfg stays out of the key: its one field, the refinement cap, cannot
+        change a result.  The halving loop stops at the first round whose
+        error meets its target, so an integral that succeeds is the same
+        under any cap; the cap decides only when to raise instead.
+        """
+        key = _entry_key(kind, d, p, k, R)
         enc = self.get_enclosure(key)
         if enc is None:
             enc = compute(d, p, k, R, cfg, kind, self.bessel)

@@ -26,7 +26,16 @@ from enum import Enum
 import numpy as np
 
 from .golden import THRESHOLDS
-from .norms import NormKey, lambda_power, lambda_sup, lower_bound_L0, stein_tomas_exponent, strictly_below
+from .norms import (
+    P4_ANCHOR_RADIUS,
+    PST_ANCHOR_RADIUS,
+    NormKey,
+    lambda_power,
+    lambda_sup,
+    lower_bound_L0,
+    stein_tomas_exponent,
+    strictly_below,
+)
 from .specfun import lambda_sup_zero_closed
 
 __all__ = ["Regime", "SweepResult", "p0_report"]
@@ -111,8 +120,8 @@ def p0_report(d: int, step: float = 0.01) -> tuple[float | None, list[SweepResul
         # the sixth power at degree zero, with its 1/3 degree-domination constant
         anchor = (6.0, (lambda_power(NormKey(2, 6.0, 0)).upper / 3.0) ** (1.0 / 6.0))
     else:
-        # the fourth power at degree one, upper estimate on [0, 40] plus tail
-        anchor = (4.0, lambda_power(NormKey(d, 4.0, 1), R=40.0).upper ** 0.25)
+        # the fourth power at degree one, upper estimate on [0, P4_ANCHOR_RADIUS] plus tail
+        anchor = (4.0, lambda_power(NormKey(d, 4.0, 1), R=P4_ANCHOR_RADIUS).upper ** 0.25)
     sup1 = lambda_sup(d, 1).enclosure.upper
     regime = Regime.D2_SIX_INF if d == 2 else Regime.STEP1_FOUR_INF
     res1 = _sweep(d, regime, grid1, anchor, (math.inf, sup1), lambda_sup_zero_closed(d))
@@ -123,7 +132,7 @@ def p0_report(d: int, step: float = 0.01) -> tuple[float | None, list[SweepResul
         grid2 = _grid(4.0, pst, step)
         if abs(grid2[-1] - pst) > 1e-12:
             grid2.append(pst)
-        endpoint = (pst, lambda_power(NormKey(d, pst, 1), R=50.0).upper ** (1.0 / pst))
+        endpoint = (pst, lambda_power(NormKey(d, pst, 1), R=PST_ANCHOR_RADIUS).upper ** (1.0 / pst))
         res2 = _sweep(d, Regime.STEP2_PST_FOUR, grid2[::-1], endpoint, anchor)
         results.append(res2)
         if threshold is not None and threshold <= 4.0:

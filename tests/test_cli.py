@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import besselnorms
 import besselnorms.local as local
 import besselnorms.norms as norms
 import besselnorms.quadrature as quadrature
+import besselnorms.store as store
 import besselnorms.sweep as sweep
 from besselnorms.cli import ResultCache, fmt, main
 
@@ -121,6 +123,15 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert report["entries"][0]["status"] == "PASS"
+
+    def test_holder_chain_overlap_is_inconclusive(self, capsys, cache_file):
+        # at R = 10 the Holder product [0.2015, 0.3070] overlaps L0^p
+        # [0.3023, 0.4023]: nothing is refuted, and the report still exits 1
+        code, report = run_json(
+            capsys, "verify", "holder-chain", "--d", "3", "--p", "4", "--k", "1", "--R", "10", "--cache", cache_file
+        )
+        assert code == 1 and report["status"] == "FAIL"
+        assert report["entries"][0]["status"] == "INCONCLUSIVE"
 
     def test_local_coefficients(self, capsys, cache_file):
         code, report = run_json(
@@ -478,13 +489,15 @@ class TestCache:
         assert again["entries"] == fresh["entries"]
 
     def test_entry_key_is_pinned(self, capsys, cache_file):
-        # repr(("power", d, p, k, R, QuadConfig().key())), unchanged since 0.3.0;
-        # a file is still discarded when its engine version differs
+        # repr(("power", d, p, k, R)) since 0.7.0; the plan that computed the
+        # entries is named once, in the stamp after the engine version:
+        # EVEN_PANEL_LENGTH, EVEN_GAUSS_ORDER, then the kinked panel length,
+        # orders and target
         run_json(capsys, "norm", "--d", "4", "--p", "4", "--k", "1", "--R", "40", "--cache", cache_file)
         stamp, line = Path(cache_file).read_text().split("\n")
         key, _ = line.split("\t")
-        assert stamp == besselnorms.__version__
-        assert key == "('power', 4, 4.0, 1, 40.0, (1.5707963267948966, 16, 8, 1e-11, 12))"
+        assert stamp == f"{besselnorms.__version__} (6.283185307179586, 32, 1.5707963267948966, 16, 8, 1e-11)"
+        assert key == "('power', 4, 4.0, 1, 40.0)"
 
     def test_file_from_engine_0_1_0_is_discarded(self, cache_file):
         # 0.1.0 stored the (d=5, p=3) cross integrals without edges at the zeros,
@@ -601,7 +614,35 @@ class TestJournal:
         _, again = run_json(capsys, *self.ARGS, "--cache", cache_file)
         assert len(integrals) == 1 and again["entries"] == fresh["entries"]
         stamp, line = Path(cache_file).read_text().split("\n")
-        assert stamp == besselnorms.__version__ and line.startswith(f"{key}\t[")
+        assert stamp == store.stamp() and line.startswith(f"{key}\t[")
+
+    # one other value for each plan constant
+    PLAN_VARIANTS = {
+        "EVEN_PANEL_LENGTH": math.pi,
+        "EVEN_GAUSS_ORDER": 20,
+        "KINKED_PANEL_LENGTH": math.pi / 4.0,
+        "KINKED_GAUSS_ORDER_HIGH": 20,
+        "KINKED_GAUSS_ORDER_LOW": 10,
+        "KINKED_ABS_TOL": 1e-12,
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLAN_VARIANTS))
+    def test_journal_of_another_plan_is_discarded_whole(self, capsys, cache_file, monkeypatch, name):
+        # the engine version stays; only the plan moves, and no entry of the
+        # old plan is served
+        run_json(capsys, *self.ARGS, "--cache", cache_file)
+        run_json(capsys, *self.OTHER, "--cache", cache_file)
+        old_stamp = Path(cache_file).read_text().split("\n")[0]
+        monkeypatch.setattr(quadrature, name, self.PLAN_VARIANTS[name])
+        assert ResultCache(cache_file).data == {}
+        norms.clear_memo_cache()
+        integrals = count_calls(monkeypatch, norms, "integrate_weighted_power")
+        run_json(capsys, *self.ARGS, "--cache", cache_file)
+        assert len(integrals) == 1
+        # the save replaces the file whole, under the new stamp
+        stamp, line = Path(cache_file).read_text().split("\n")
+        assert stamp == store.stamp() != old_stamp
+        assert stamp.startswith(f"{besselnorms.__version__} ") and line.startswith("('power', 4, 4.0, 1, 40.0)\t[")
 
     def test_torn_last_line_loses_only_its_entry(self, capsys, cache_file, monkeypatch):
         _, first = run_json(capsys, *self.ARGS, "--cache", cache_file)

@@ -115,13 +115,13 @@ class TestPstHierarchy:
         assert witnesses["degree-1 power on [0,50] + tail"].upper < witnesses["degree-0 power on [0,50] + tail"].lower
 
     @staticmethod
-    def with_degree_zero_at(monkeypatch, factor):
+    def with_degree_zero_at(monkeypatch, factor, end="upper"):
         """verify_pst(4) with degree zero a point at factor times degree one's
-        upper end; only the degree-zero step reads hierarchy.lambda_power,
-        best_k reads norms'."""
+        upper or lower end; only the degree-zero step reads
+        hierarchy.lambda_power, best_k reads norms'."""
 
         def lowered(key, R=None):
-            return Enclosure.point(factor * norms.lambda_power(NormKey(key.d, key.p, 1), R).upper)
+            return Enclosure.point(factor * getattr(norms.lambda_power(NormKey(key.d, key.p, 1), R), end))
 
         monkeypatch.setattr(hierarchy, "lambda_power", lowered)
         record = verify_pst(4)
@@ -129,12 +129,14 @@ class TestPstHierarchy:
         return record
 
     def test_degree_zero_below_degree_one_fails(self, monkeypatch):
-        # a strict reversal
-        assert self.with_degree_zero_at(monkeypatch, 0.999).status is Status.FAIL
+        # a strict reversal: degree zero below degree one's whole enclosure
+        assert self.with_degree_zero_at(monkeypatch, 0.999, "lower").status is Status.FAIL
 
     def test_degree_zero_overlapping_degree_one_is_inconclusive(self, monkeypatch):
-        # degree zero at degree one's upper end: neither order is strict
+        # degree zero at degree one's upper end, or just inside its
+        # enclosure: neither order is strict, so nothing is refuted
         assert self.with_degree_zero_at(monkeypatch, 1.0).status is Status.INCONCLUSIVE
+        assert self.with_degree_zero_at(monkeypatch, 0.999).status is Status.INCONCLUSIVE
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,10 @@ from besselnorms.quadrature import (
     DEFAULT_QUAD_CONFIG,
     EVEN_GAUSS_ORDER,
     EVEN_PANEL_LENGTH,
+    KINKED_ABS_TOL,
+    KINKED_GAUSS_ORDER_HIGH,
+    KINKED_GAUSS_ORDER_LOW,
+    KINKED_PANEL_LENGTH,
     Enclosure,
     QuadConfig,
     QuadratureError,
@@ -225,7 +229,7 @@ class TestPanelIntegrate:
     def test_sine(self):
         value, err = panel_integrate(np.sin, 0.0, math.pi)
         assert value == pytest.approx(2.0, abs=1e-12)
-        assert err <= DEFAULT_QUAD_CONFIG.abs_tol
+        assert err <= KINKED_ABS_TOL
 
     def test_exponential(self):
         value, _ = panel_integrate(np.exp, 0.0, 1.0)
@@ -235,19 +239,20 @@ class TestPanelIntegrate:
         with pytest.raises(ValueError):
             panel_integrate(np.sin, 1.0, 1.0)
 
-    def test_refinement_brings_chirp_in_tolerance(self):
+    def test_refinement_brings_chirp_in_tolerance(self, monkeypatch):
         f = lambda r: np.cos(8.0 * r * r)
-        cfg = QuadConfig(panel_length=4.0)
-        value, err = panel_integrate(f, 0.0, 8.0, cfg)
         ref, _ = panel_integrate(f, 0.0, 8.0, DEFAULT_QUAD_CONFIG)
-        assert err <= cfg.abs_tol
+        monkeypatch.setattr(quadrature, "KINKED_PANEL_LENGTH", 4.0)
+        value, err = panel_integrate(f, 0.0, 8.0)
+        assert err <= KINKED_ABS_TOL
         assert value == pytest.approx(ref, abs=1e-10)
 
-    def test_error_raised_when_refinement_capped(self):
+    def test_error_raised_when_refinement_capped(self, monkeypatch):
         f = lambda r: np.cos(40.0 * r * r)
-        cfg = QuadConfig(panel_length=10.0, max_refinements=0, abs_tol=1e-13)
+        monkeypatch.setattr(quadrature, "KINKED_PANEL_LENGTH", 10.0)
+        monkeypatch.setattr(quadrature, "KINKED_ABS_TOL", 1e-13)
         with pytest.raises(QuadratureError):
-            panel_integrate(f, 0.0, 10.0, cfg)
+            panel_integrate(f, 0.0, 10.0, QuadConfig(max_refinements=0))
 
     def test_deterministic(self):
         f = integrand(3, 4.0, 1)
@@ -269,7 +274,7 @@ class TestPanelIntegrate:
                                      [math.pi, 2 * math.pi], 4.0 / 3.0)
         exact = 2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(7) / 6) / mpmath.gamma(mpmath.mpf(5) / 3)
         assert value == pytest.approx(float(exact), rel=1e-14)
-        assert err <= DEFAULT_QUAD_CONFIG.abs_tol
+        assert err <= KINKED_ABS_TOL
         assert [c.shape for c in calls] == [(3, 16), (3, 8)]
 
     def test_halved_panels_keep_their_end_exponents(self):
@@ -282,19 +287,21 @@ class TestPanelIntegrate:
             g = lambda r: abs(mpmath.sin(r)) ** 2.5 * mpmath.exp(mpmath.cos(12 * r))
             exact = mpmath.quad(g, mpmath.linspace(mpmath.pi / 2, 5 * mpmath.pi / 2, 17))
         assert len(calls) > 2
-        assert err <= DEFAULT_QUAD_CONFIG.abs_tol
+        assert err <= KINKED_ABS_TOL
         assert abs(value - float(exact)) <= err
 
 
 class TestQuadConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadConfig(panel_length=0.0)
-        with pytest.raises(ValueError):
-            QuadConfig(gauss_order_high=8, gauss_order_low=8)
+        # what the removed fields were checked for now holds of the constants
+        assert KINKED_PANEL_LENGTH > 0 and EVEN_PANEL_LENGTH > 0
+        assert KINKED_GAUSS_ORDER_HIGH > KINKED_GAUSS_ORDER_LOW >= 2
+        with pytest.raises(TypeError):
+            QuadConfig(panel_length=1.0)
 
     def test_key_distinguishes_profiles(self):
-        assert QuadConfig().key() != QuadConfig(abs_tol=1e-8).key()
+        assert QuadConfig().key() == (12,)
+        assert QuadConfig().key() != QuadConfig(max_refinements=3).key()
 
 
 def _jacobi_polynomial(n, a, b, x):
@@ -609,6 +616,27 @@ class TestKinkedExponents:
             value, allowance = simpson_weighted_power(d, p, k, R)
             assert enc.lower - allowance <= value <= enc.upper + allowance
 
+    def test_plan_constants_set_every_order_on_the_kinked_path(self, monkeypatch, integrand_calls):
+        # another plan reaches the starting panels, both orders and the
+        # target alike, so none is read from anywhere else: (3, 3.5) on
+        # [0, 2.3] holds no zero of J_{3/2} and reads the panel length,
+        # (5, 3) on [0, 20] runs from zero to zero
+        planned = [integrate_weighted_power(3, 3.5, 1, 2.3), integrate_weighted_power(5, 3.0, 1, 20.0)]
+        monkeypatch.setattr(quadrature, "KINKED_PANEL_LENGTH", math.pi / 4.0)
+        monkeypatch.setattr(quadrature, "KINKED_GAUSS_ORDER_HIGH", 20)
+        monkeypatch.setattr(quadrature, "KINKED_GAUSS_ORDER_LOW", 10)
+        replanned = [integrate_weighted_power(3, 3.5, 1, 2.3), integrate_weighted_power(5, 3.0, 1, 20.0)]
+        starts = [(2, 16), (bessel_zeros(3, 20.0).size + 1, 16), (3, 20), (bessel_zeros(3, 20.0).size + 1, 20)]
+        assert [calls[0].shape for calls in integrand_calls] == starts
+        for calls, orders in zip(integrand_calls, [(16, 8), (16, 8), (20, 10), (20, 10)]):
+            assert [c.shape[-1] for c in calls] == list(orders) * (len(calls) // 2)
+        for old, new in zip(planned, replanned):
+            assert new.midpoint == pytest.approx(old.midpoint, rel=1e-12)
+        # no estimate meets a zero target, so the cap raises
+        monkeypatch.setattr(quadrature, "KINKED_ABS_TOL", 0.0)
+        with pytest.raises(QuadratureError, match="above tolerance 0.000e\\+00 after 1 refinements"):
+            integrate_weighted_power(3, 3.5, 1, 2.3, QuadConfig(max_refinements=1))
+
 
 class TestNodeCounts:
     """Each panel is evaluated once, and no production integral nears the cap."""
@@ -628,7 +656,7 @@ class TestNodeCounts:
     def _refinements(self, integrand_calls):
         """Rounds after the first: one high-order call per round on either
         path, G16 between zeros and the even plan's order elsewhere."""
-        high = (DEFAULT_QUAD_CONFIG.gauss_order_high, EVEN_GAUSS_ORDER)
+        high = (KINKED_GAUSS_ORDER_HIGH, EVEN_GAUSS_ORDER)
         return [sum(c.shape[-1] in high for c in calls) - 1 for calls in integrand_calls]
 
     def test_local_maximizer_integrals_stay_clear_of_the_cap(self, integrand_calls):
@@ -771,8 +799,9 @@ class TestExtremeEvenExponents:
 
 class TestEvenPath:
     def test_workload_integrals_are_not_halved_and_remainder_is_below_evaluation(self, monkeypatch):
-        # local-maximizer's even integrals: one pass of G16, and the proven
-        # part of each error below its evaluation term
+        # local-maximizer's even integrals: one pass of the even plan's G32 on
+        # 2 pi panels, and the proven part of each error below its evaluation
+        # term
         parts = []
         real = quadrature.panel_integrate
 

@@ -91,14 +91,35 @@ class TestRule:
 
     def test_three_verdicts_and_their_notes(self):
         claim = Claim("test", {})
-        assert claim.separate("a", 1.0, 2.0) is Status.PASS
+        one, two = Enclosure.point(1.0), Enclosure.point(2.0)
+        assert claim.separate("a", one, two) is Status.PASS
         assert claim.status is Status.PASS and claim.notes == []
-        assert claim.separate("b", 1.0, 1.0) is Status.INCONCLUSIVE
+        assert claim.separate("b", one, one) is Status.INCONCLUSIVE
         assert claim.status is Status.INCONCLUSIVE
-        assert claim.separate("c", 2.0, 1.0) is Status.FAIL
-        assert claim.separate("d", 1.0, 2.0) is Status.PASS
+        assert claim.separate("c", two, one) is Status.FAIL
+        assert claim.separate("d", one, two) is Status.PASS
         assert claim.status is Status.FAIL
         assert claim.notes == ["b: 1.0 not strictly below 1.0", "c: 2.0 not strictly below 1.0"]
+
+    def test_overlapping_enclosures_are_inconclusive_in_either_order(self):
+        # [1, 3] and [2, 4]: neither order is strict, so neither is refuted;
+        # the note quotes the smaller side's upper end and the larger side's lower end
+        low = Enclosure(1.0, 3.0, truncation_bound=1.0)
+        high = Enclosure(2.0, 4.0, truncation_bound=1.0)
+        for smaller, larger in ((low, high), (high, low)):
+            claim = Claim("test", {})
+            assert claim.separate("x", smaller, larger) is Status.INCONCLUSIVE
+            assert claim.status is Status.INCONCLUSIVE
+            assert claim.notes == [f"x: {smaller.upper} not strictly below {larger.lower}"]
+
+    def test_disjoint_reversed_enclosures_fail(self):
+        claim = Claim("test", {})
+        low = Enclosure(1.0, 2.0, truncation_bound=0.5)
+        high = Enclosure(3.0, 4.0, truncation_bound=0.5)
+        assert claim.separate("x", low, high) is Status.PASS
+        assert claim.separate("y", high, low) is Status.FAIL
+        assert claim.status is Status.FAIL
+        assert claim.notes == ["y: 4.0 not strictly below 1.0"]
 
     def test_worst_verdict(self):
         assert worst(Status.PASS, Status.PASS) is Status.PASS
